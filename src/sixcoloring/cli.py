@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-
-import numpy as np
 
 from . import coloring_one, coloring_two
 from .errors import DomainError, RangeError
 from .render import DASH_AVOID, DASH_MIN, DASH_UNIT, Overlay, RenderSpec, render_svg
 from .tiling import ColoringType
-from .verifier import monte_carlo_check, verify
+from .verifier import verify
 
 EXIT_VALID = 0
 EXIT_INVALID = 1
@@ -28,6 +27,9 @@ def _build_tiling(coloring: int, d: float, alpha1=None):
 
 def cmd_verify(args) -> int:
     tiling = _build_tiling(args.coloring, args.d, args.alpha1)
+    if args.json:
+        with open(args.json, "w") as fh:
+            fh.write(tiling.to_json())
     report = verify(tiling, ColoringType.unit_except(red=args.d), strictness=args.strict)
     print(f"coloring {args.coloring}, d = {args.d}: {report.verdict} "
           f"({report.pairs_checked} pairs, {report.translates_enumerated} translates)")
@@ -35,9 +37,6 @@ def cmd_verify(args) -> int:
         mn, mx = w.interval
         print(f"  witness: color={w.color} cells={w.pair} offset={w.offset} "
               f"interval=[{mn:.9f}, {mx:.9f}] realizes {w.distance}")
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(tiling.to_json())
     return EXIT_VALID if report.valid else EXIT_INVALID
 
 
@@ -51,21 +50,17 @@ def cmd_scan(args) -> int:
     for d in _float_range(args.d_min, args.d_max, args.d_step):
         for a in _float_range(args.alpha_min, args.alpha_max, args.alpha_step):
             try:
-                r = coloring_one.constraints(coloring_one.Params1(d, a)).as_tuple()
-                feasible = min(r) >= -1e-9
-                res = ",".join(f"{x:.12g}" for x in r)
+                r = coloring_one.constraints(coloring_one.Params1(d, a))
+                feasible = r.satisfied()
+                res = ",".join(f"{x:.12g}" for x in r.as_tuple())
             except (DomainError, RangeError):
                 feasible = False
                 res = ",".join(["nan"] * 6)
             rows.append(f"{d:.12g},{a:.12g},{res},{str(feasible).lower()}")
     header = "d,alpha1,r1,r2,r3,r4,r5,r6,feasible"
     text = "\r\n".join([header] + rows) + "\r\n"
-    try:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    with open(args.out, "w", newline="") as fh:
+        fh.write(text)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_VALID
 
@@ -99,14 +94,28 @@ def cmd_probe(args) -> int:
 
 
 def cmd_roots(args) -> int:
-    d_max = coloring_two.solve_dmax()
-    d_min = np.sqrt(3) - 2 * d_max
-    cf = coloring_two.closed_form_dmax()
-    print(f"d_max = {d_max:.15f}")
-    print(f"d_min = {d_min:.15f}")
-    print(f"quartic residual = {coloring_two.quartic(d_max):.3e}")
-    print(f"|closed_form - bisection| = {abs(cf - d_max):.3e}")
+    c = coloring_two.constants()
+    print(f"d_max = {c.d_max:.15f}")
+    print(f"d_min = {c.d_min:.15f}")
+    print(f"quartic residual = {coloring_two.quartic(c.d_max):.3e}")
+    print(f"|closed_form - bisection| = {abs(coloring_two.closed_form_dmax() - c.d_max):.3e}")
     return EXIT_VALID
+
+
+def _float(ok, what):
+    """argparse type: a finite float x with ok(x), else a usage error (exit 2)."""
+    def parse(text):
+        x = float(text)
+        if not (math.isfinite(x) and ok(x)):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return x
+    parse.__name__ = "float"  # argparse names the type when float() fails
+    return parse
+
+
+FINITE = _float(lambda x: True, "finite")
+POSITIVE = _float(lambda x: x > 0, "finite and positive")
+OPEN_UNIT = _float(lambda x: 0 < x < 1, "finite and in (0, 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_tiling_args(p):
         p.add_argument("--coloring", type=int, choices=(1, 2), required=True)
-        p.add_argument("--d", type=float, required=True)
+        p.add_argument("--d", type=OPEN_UNIT, required=True)
         p.add_argument("--alpha1", type=float, default=None,
                        help="pentagon apex angle in degrees (coloring 1 only)")
 
@@ -129,19 +138,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scan", help="grid-scan coloring 1 constraint residuals to CSV")
-    p.add_argument("--d-min", type=float, required=True)
-    p.add_argument("--d-max", type=float, required=True)
-    p.add_argument("--d-step", type=float, default=0.001)
-    p.add_argument("--alpha-min", type=float, default=95.0)
-    p.add_argument("--alpha-max", type=float, default=165.0)
-    p.add_argument("--alpha-step", type=float, default=0.1)
+    p.add_argument("--d-min", type=FINITE, required=True)
+    p.add_argument("--d-max", type=FINITE, required=True)
+    p.add_argument("--d-step", type=POSITIVE, default=0.001)
+    p.add_argument("--alpha-min", type=FINITE, default=95.0)
+    p.add_argument("--alpha-max", type=FINITE, default=165.0)
+    p.add_argument("--alpha-step", type=POSITIVE, default=0.1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("render", help="render a tiling to SVG")
     add_tiling_args(p)
     p.add_argument("--viewport", required=True, help="x0,y0,x1,y1 in plane units")
-    p.add_argument("--scale", type=float, default=200.0)
+    p.add_argument("--scale", type=POSITIVE, default=200.0)
     p.add_argument("--overlay", action="append", default=None,
                    help="x,y[,r...] circle overlay; repeatable")
     p.add_argument("--out", required=True)
@@ -162,7 +171,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, RangeError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # DomainError and RangeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -111,22 +111,11 @@ def _checked_sqrt(x: float, what: str) -> float:
     return math.sqrt(x)
 
 
-def _checked_acos(x: float, what: str) -> float:
-    if not -1.0 <= x <= 1.0:
-        if abs(x) <= 1.0 + 1e-12:
-            x = max(-1.0, min(1.0, x))
-        else:
-            raise DomainError(f"arccos argument out of range in {what}: {x}")
-    return math.degrees(math.acos(x))
-
-
-def _checked_asin(x: float, what: str) -> float:
-    if not -1.0 <= x <= 1.0:
-        if abs(x) <= 1.0 + 1e-12:
-            x = max(-1.0, min(1.0, x))
-        else:
-            raise DomainError(f"arcsin argument out of range in {what}: {x}")
-    return math.degrees(math.asin(x))
+def _checked_arc(fn, x: float, what: str) -> float:
+    """Degrees of fn (math.acos or math.asin) at x, clamped into [-1, 1]."""
+    if not abs(x) <= 1.0 + 1e-12:  # beyond roundoff at binding configurations
+        raise DomainError(f"{fn.__name__} argument out of range in {what}: {x}")
+    return math.degrees(fn(max(-1.0, min(1.0, x))))
 
 
 def derive_quantities(p: Params1) -> DerivedQuantities1:
@@ -136,12 +125,12 @@ def derive_quantities(p: Params1) -> DerivedQuantities1:
     if sin_half <= 0:
         raise DomainError("sin(alpha1/2) must be positive")
     s1 = d / 2 / sin_half
-    t1 = 2 * _checked_acos((1 / sin_half) / 4, "t1") - a1
+    t1 = 2 * _checked_arc(math.acos, (1 / sin_half) / 4, "t1") - a1
     s3 = 2 * d * dsin(t1 / 2)
     h1 = d * dcos(t1 / 2)
     h2 = h1 - (d / 2) * dcos(a1 / 2) / sin_half
     s2 = math.sqrt(h2 ** 2 + (d - s3) ** 2 / 4)
-    alpha2 = 90 - a1 / 2 + _checked_asin(h2 / s2, "alpha2")
+    alpha2 = 90 - a1 / 2 + _checked_arc(math.asin, h2 / s2, "alpha2")
     alpha3 = 270 - a1 / 2 - alpha2
     t2 = (_checked_sqrt(1 - (s1 * dsin(30 + a1 / 2)) ** 2, "t2")
           - s1 * dcos(30 + a1 / 2)) / math.sqrt(3)
@@ -149,7 +138,7 @@ def derive_quantities(p: Params1) -> DerivedQuantities1:
     s4 = math.sqrt(3) * c
     h3 = 1.5 * c
     w1 = math.sqrt(3) * t2
-    t3 = 180 - _checked_acos((1 - w1 ** 2 - s1 ** 2) / (-2 * w1 * s1), "t3")
+    t3 = 180 - _checked_arc(math.acos, (1 - w1 ** 2 - s1 ** 2) / (-2 * w1 * s1), "t3")
     w2 = s1 * dcos(t3) + _checked_sqrt(1 - (s1 * dsin(t3)) ** 2, "w2")
     h4 = _checked_sqrt(1 - (s4 + s3) ** 2 / 4, "h4")
     h5 = _checked_sqrt(t2 ** 2 - w1 ** 2 / 4, "h5") - h3 + c
@@ -162,7 +151,7 @@ def derive_quantities(p: Params1) -> DerivedQuantities1:
     alpha7 = 360 - alpha2 - alpha5
     alpha8 = 240 - alpha7
     t4 = _checked_sqrt(s2 ** 2 + s5 ** 2 - 2 * s2 * s5 * dcos(alpha7), "t4")
-    t5 = _checked_asin(s5 * dsin(alpha7) / t4, "t5")
+    t5 = _checked_arc(math.asin, s5 * dsin(alpha7) / t4, "t5")
     w3 = _checked_sqrt(t4 ** 2 + s2 ** 2 + 2 * t4 * s2 * dcos(alpha7 + alpha8 + t5), "w3")
     H = h1 + h4 + c / 2 + t2
     return DerivedQuantities1(

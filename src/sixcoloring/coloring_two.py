@@ -57,18 +57,10 @@ def closed_form_dmax() -> float:
 
 @dataclass(frozen=True)
 class Constants2:
-    """Fixed scalars of the second coloring (angles in degrees)."""
+    """Fixed scalars of the second coloring."""
 
     d_max: float
     d_min: float
-    aux_angle: float  # arctan(1 / (2 d_max + sqrt 3))
-    aux_w: float      # sqrt(3 - sqrt(3) d_max - d_max^2) / 2
-    aux_x: float      # 1/14
-    aux_y: float      # 2 sqrt(3) / 7
-    beta1: float      # 45 + arccos(47/49)/4
-    beta2: float      # 90 - arccos(47/49)/2
-    u2: float         # heptagon side, measured from coordinates
-    u3: float         # heptagon side, measured from coordinates
 
 
 def _heptagon_points(d_max: float) -> dict:
@@ -116,23 +108,7 @@ def _heptagon_points(d_max: float) -> dict:
 @lru_cache(maxsize=1)
 def constants() -> Constants2:
     d_max = solve_dmax()
-    d_min = SQRT3 - 2 * d_max
-    pts = _heptagon_points(d_max)
-    u2 = float(np.linalg.norm(pts["I4"] - pts["NNN"]))
-    u3 = float(np.linalg.norm(pts["I3"] - pts["PA"]))
-    acos4749 = math.degrees(math.acos(47 / 49))
-    return Constants2(
-        d_max=d_max,
-        d_min=d_min,
-        aux_angle=math.degrees(math.atan2(1, 2 * d_max + SQRT3)),
-        aux_w=math.sqrt(3 - SQRT3 * d_max - d_max ** 2) / 2,
-        aux_x=1 / 14,
-        aux_y=2 * SQRT3 / 7,
-        beta1=45 + acos4749 / 4,
-        beta2=90 - acos4749 / 2,
-        u2=u2,
-        u3=u3,
-    )
+    return Constants2(d_max=d_max, d_min=SQRT3 - 2 * d_max)
 
 
 # the four unit diagonals of the base-row heptagon, by vertex name
@@ -141,59 +117,33 @@ HEPTAGON_UNIT_DIAGONALS = (("X", "I4"), ("AA", "I3"), ("AA", "PA"), ("NNN", "PA"
 # the three unit diagonals of the hexagon
 HEXAGON_UNIT_DIAGONALS = (("B", "C"), ("M", "MM"), ("N", "NN"))
 
-
-def build_square(c: Constants2) -> ConvexPolygon:
-    """Red square centered at (1/2, 0) with diagonals of length d_min."""
-    pts = _heptagon_points(c.d_max)
-    return ConvexPolygon(np.array([pts["X"], pts["XX"], pts["MAA"], pts["XXX"]]))
-
-
-def build_hexagon2(c: Constants2) -> ConvexPolygon:
-    """Blue centrosymmetric hexagon, centered at (1/2, sqrt(3)), three unit diagonals."""
-    pts = _heptagon_points(c.d_max)
-    hexagon = ConvexPolygon(np.array(
-        [pts["M"], pts["N"], pts["C"], pts["MM"], pts["NN"], pts["B"]]))
-    for a, b in HEXAGON_UNIT_DIAGONALS:
-        if abs(np.linalg.norm(pts[a] - pts[b]) - 1.0) > 1e-10:
-            raise DomainError(f"hexagon diagonal {a}-{b} is not unit")
-    return hexagon
-
-
-def build_heptagon(c: Constants2) -> ConvexPolygon:
-    """Base-row heptagon (yellow placement frame) with four unit diagonals."""
-    pts = _heptagon_points(c.d_max)
-    for a, b in HEPTAGON_UNIT_DIAGONALS:
-        if abs(np.linalg.norm(pts[a] - pts[b]) - 1.0) > 1e-10:
-            raise DomainError(f"heptagon diagonal {a}-{b} is not unit")
-    if abs(np.linalg.norm(pts["I4"] - pts["I3"]) - c.d_max) > 1e-10:
-        raise DomainError("heptagon edge I4-I3 is not d_max")
-    return ConvexPolygon(np.array(
-        [pts["X"], pts["XXX"], pts["AA"], pts["NNN"], pts["I4"], pts["I3"], pts["PA"]]))
-
-
-def build_pentagon2(c: Constants2) -> ConvexPolygon:
-    """Red axisymmetric pentagon with apex at (1/2, 3 sqrt(3)/2)."""
-    pts = _heptagon_points(c.d_max)
-    return ConvexPolygon(np.array(
-        [pts["I5"], pts["MM"], pts["NN"], pts["I6"], pts["PD"]]))
+# the fundamental block: (color, vertex names, shift) per cell; the blue
+# hexagon is centrosymmetric about (1/2, sqrt 3) before its shift, the red
+# pentagon axisymmetric with apex PD, the yellow heptagon is the base-row
+# one, and the red square is centered at (1/2, 0) with diagonals d_min
+CELLS2 = (
+    ("orange", ("Z", "ZZ", "C", "N", "I3", "I4", "PC"), (-1.0, -SQRT3)),
+    ("green", ("Y", "YY", "B", "M", "I2", "I1", "PB"), (1.0, -SQRT3)),
+    ("red", ("PA", "I2", "M", "N", "I3"), (1.0, -SQRT3)),
+    ("blue", ("M", "N", "C", "MM", "NN", "B"), (1.0, -SQRT3)),
+    ("red", ("I5", "MM", "NN", "I6", "PD"), (1.0, -SQRT3)),
+    ("turquoise", ("X", "XX", "A", "MMM", "I1", "I2", "PA"), (0.0, 0.0)),
+    ("yellow", ("X", "XXX", "AA", "NNN", "I4", "I3", "PA"), (0.0, 0.0)),
+    ("red", ("X", "XX", "MAA", "XXX"), (0.0, 0.0)),
+)
 
 
 def assemble_block2(c: Constants2) -> Tiling:
-    """Fundamental block of the second coloring; lattice (2, 0) and (1, sqrt(3))."""
+    """Fundamental block of the second coloring; lattice (2, 0) and (1, sqrt(3)).
+
+    Raises DomainError unless the seven unit diagonals are unit and the
+    heptagon edge I4-I3 is d_max, within 1e-10.
+    """
     pts = _heptagon_points(c.d_max)
-
-    def poly(names, shift=(0.0, 0.0)):
-        return ConvexPolygon(np.array([pts[n] for n in names]) + np.asarray(shift))
-
-    upper = (1.0, -SQRT3)
-    cells = [
-        (poly(["Z", "ZZ", "C", "N", "I3", "I4", "PC"], (-1.0, -SQRT3)), "orange"),
-        (poly(["Y", "YY", "B", "M", "I2", "I1", "PB"], upper), "green"),
-        (poly(["PA", "I2", "M", "N", "I3"], upper), "red"),
-        (poly(["M", "N", "C", "MM", "NN", "B"], upper), "blue"),
-        (poly(["I5", "MM", "NN", "I6", "PD"], upper), "red"),
-        (poly(["X", "XX", "A", "MMM", "I1", "I2", "PA"]), "turquoise"),
-        (poly(["X", "XXX", "AA", "NNN", "I4", "I3", "PA"]), "yellow"),
-        (poly(["X", "XX", "MAA", "XXX"]), "red"),
-    ]
+    lengths = [(a, b, 1.0) for a, b in HEPTAGON_UNIT_DIAGONALS + HEXAGON_UNIT_DIAGONALS]
+    for a, b, length in lengths + [("I4", "I3", c.d_max)]:
+        if abs(np.linalg.norm(pts[a] - pts[b]) - length) > 1e-10:
+            raise DomainError(f"{a}-{b} is not of length {length}")
+    cells = [(ConvexPolygon(np.array([pts[n] for n in names]) + np.asarray(shift)), color)
+             for color, names, shift in CELLS2]
     return Tiling(cells, (2.0, 0.0), (1.0, SQRT3), DEFAULT_PRIORITY)

@@ -8,8 +8,7 @@ geometric tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,12 +30,6 @@ def dirvec(a: float) -> np.ndarray:
     return np.array([dcos(a), dsin(a)])
 
 
-class Location(Enum):
-    INTERIOR = "interior"
-    BOUNDARY = "boundary"
-    OUTSIDE = "outside"
-
-
 def _shoelace(vertices: np.ndarray) -> float:
     x, y = vertices[:, 0], vertices[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
@@ -47,7 +40,8 @@ class ConvexPolygon:
     """Convex polygon with vertices in counterclockwise order.
 
     Clockwise input is silently reversed; non-convex or degenerate input
-    raises DomainError.
+    raises DomainError. `edge_vectors[k]` runs from vertex k to vertex k + 1
+    and `edge_lengths[k]` is its length.
     """
 
     vertices: np.ndarray
@@ -61,24 +55,20 @@ class ConvexPolygon:
         if _shoelace(v) < 0:
             v = v[::-1].copy()
         edges = np.roll(v, -1, axis=0) - v
-        if np.any(np.hypot(edges[:, 0], edges[:, 1]) < EPS_GEOM):
+        lengths = np.hypot(edges[:, 0], edges[:, 1])
+        if np.any(lengths < EPS_GEOM):
             raise DomainError("consecutive vertices closer than EPS_GEOM")
         cross = edges[:, 0] * np.roll(edges[:, 1], -1) - edges[:, 1] * np.roll(edges[:, 0], -1)
         if np.any(cross < -EPS_GEOM):
             raise DomainError("polygon is not convex within tolerance")
-        v.setflags(write=False)
-        object.__setattr__(self, "vertices", v)
-
-    def __len__(self) -> int:
-        return len(self.vertices)
+        for name, a in (("vertices", v), ("edge_vectors", edges), ("edge_lengths", lengths)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def edges(self) -> np.ndarray:
         """Array of shape (n, 2, 2): edge start/end points."""
         return np.stack([self.vertices, np.roll(self.vertices, -1, axis=0)], axis=1)
-
-    def centroid(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
 
     def translated(self, offset) -> "ConvexPolygon":
         return ConvexPolygon(self.vertices + np.asarray(offset, dtype=float))
@@ -101,15 +91,6 @@ class RigidTransform:
 
     def apply_points(self, pts: np.ndarray) -> np.ndarray:
         return pts @ self.matrix().T + np.asarray(self.translation, dtype=float)
-
-    def inverse(self) -> "RigidTransform":
-        """Transform undoing this one (inverse is mirror-then-rotate-then-translate too)."""
-        minv = np.linalg.inv(self.matrix())
-        t = -minv @ np.asarray(self.translation, dtype=float)
-        if not self.mirror:
-            return RigidTransform(rotation=-self.rotation, translation=tuple(t))
-        # M^-1 = (R(r) Mx)^-1 = Mx R(-r) = R(r) Mx, so same rotation with mirror
-        return RigidTransform(rotation=self.rotation, translation=tuple(t), mirror=True)
 
 
 def apply_transform(t: RigidTransform, p: ConvexPolygon) -> ConvexPolygon:
@@ -166,32 +147,20 @@ def _segments_min_distance(e1: np.ndarray, e2: np.ndarray) -> float:
     return 0.0 if bool(crossing.any()) else float(cands.min())
 
 
-def _point_in_convex(pt: np.ndarray, p: ConvexPolygon) -> bool:
-    v = p.vertices
-    e = np.roll(v, -1, axis=0) - v
-    return bool(np.all(_cross2(e, pt - v) >= 0))
+def edge_distances(pts: np.ndarray, p: ConvexPolygon) -> np.ndarray:
+    """Signed distances (n, E) from points (n, 2) to the lines through p's
+    edges: positive on the inner side, so a point is in p iff all are >= 0."""
+    rel = pts[:, None, :] - p.vertices[None, :, :]
+    e = p.edge_vectors
+    return (e[:, 0] * rel[:, :, 1] - e[:, 1] * rel[:, :, 0]) / p.edge_lengths
 
 
 def polygon_min_distance(p: ConvexPolygon, q: ConvexPolygon) -> float:
     """Minimum distance between the closed regions; 0 if they intersect."""
-    if _point_in_convex(q.vertices[0], p) or _point_in_convex(p.vertices[0], q):
+    if (edge_distances(q.vertices[:1], p) >= 0).all() or (
+            edge_distances(p.vertices[:1], q) >= 0).all():
         return 0.0
     return _segments_min_distance(p.edges, q.edges)
-
-
-def point_locate(pt, p: ConvexPolygon, eps: float = EPS_GEOM) -> Location:
-    """Classify a point against the polygon with tolerance eps."""
-    pt = np.asarray(pt, dtype=float)
-    v = p.vertices
-    e = np.roll(v, -1, axis=0) - v
-    lengths = np.hypot(e[:, 0], e[:, 1])
-    signed = _cross2(e, pt - v) / lengths
-    if np.min(signed) > eps:
-        return Location.INTERIOR
-    boundary_dist = float(_point_segment_distance(pt, v, np.roll(v, -1, axis=0)).min())
-    if boundary_dist <= eps:
-        return Location.BOUNDARY
-    return Location.OUTSIDE
 
 
 def convex_intersection_area(p: ConvexPolygon, q: ConvexPolygon) -> float:

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,6 +13,7 @@ from .geom import (
     EPS_GEOM,
     ConvexPolygon,
     convex_intersection_area,
+    edge_distances,
     polygon_area,
     polygon_min_distance,
 )
@@ -42,8 +44,8 @@ class ColoringType:
         return cls(d)
 
     def __post_init__(self):
-        if any(v <= 0 for v in self.distances.values()):
-            raise ValueError("avoided distances must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in self.distances.values()):
+            raise ValueError("avoided distances must be finite and positive")
 
 
 class Tiling:
@@ -85,12 +87,11 @@ class Tiling:
     def _build_locator(self):
         """Cell translates covering the base lattice parallelogram, bucketed.
 
-        Each translate keeps its vertices, edge vectors, edge lengths and
-        priority rank. It is listed in every bucket of a LOCATE_GRID x
-        LOCATE_GRID grid over fractional lattice coordinates that its
-        fractional bounding box meets once widened by the reach of the
-        EPS_GEOM boundary test, so a bucket lists every translate that can
-        contain or touch a point in it.
+        Each translate is kept as a polygon with its priority rank. It is
+        listed in every bucket of a LOCATE_GRID x LOCATE_GRID grid over
+        fractional lattice coordinates that its fractional bounding box meets
+        once widened by the reach of the EPS_GEOM boundary test, so a bucket
+        lists every translate that can contain or touch a point in it.
         """
         L = np.column_stack([self.v1, self.v2])
         Linv = np.linalg.inv(L)
@@ -108,25 +109,22 @@ class Tiling:
                     t = poly.translated(a * self.v1 + b * self.v2)
                     if polygon_min_distance(t, base) > EPS_GEOM:
                         continue
-                    v = t.vertices
-                    e = np.roll(v, -1, axis=0) - v
-                    lengths = np.hypot(e[:, 0], e[:, 1])
                     # the points passing the boundary test (every signed edge
                     # distance >= -EPS_GEOM) form the polygon grown by EPS_GEOM
                     # along each edge normal; its corner at a vertex where the
                     # boundary turns by phi lies EPS_GEOM / cos(phi / 2) out
-                    u = e / lengths[:, None]
+                    u = t.edge_vectors / t.edge_lengths[:, None]
                     cos_turn = (u * np.roll(u, 1, axis=0)).sum(axis=1)
                     reach = EPS_GEOM * float(np.sqrt(2.0 / (1.0 + cos_turn)).max())
                     # doubled so that rounding in either coordinate system
                     # cannot move a touching point outside the listed buckets
                     margin = 2.0 * reach * frac_per_length
-                    f = v @ Linv.T
+                    f = t.vertices @ Linv.T
                     lo = np.clip(np.floor((f.min(axis=0) - margin) * g), 0, g - 1).astype(int)
                     hi = np.clip(np.floor((f.max(axis=0) + margin) * g), 0, g - 1).astype(int)
                     buckets = np.zeros((g, g), dtype=bool)
                     buckets[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1] = True
-                    candidates.append((v, e, lengths, rank[color]))
+                    candidates.append((t, rank[color]))
                     listed.append(buckets.ravel())
         self._locator = (L, Linv, candidates, listed)
         return self._locator
@@ -162,11 +160,9 @@ class Tiling:
             p, bk = base[chunk], bucket[chunk]
             interior_rank = np.full(len(p), nc, dtype=np.intp)
             boundary_rank = np.full(len(p), nc, dtype=np.intp)
-            for (v, e, lengths, r), in_bucket in zip(candidates, listed):
+            for (t, r), in_bucket in zip(candidates, listed):
                 sel = np.flatnonzero(in_bucket[bk])
-                rel = p[sel, None, :] - v[None, :, :]
-                signed = (e[:, 0] * rel[:, :, 1] - e[:, 1] * rel[:, :, 0]) / lengths
-                mindist = signed.min(axis=1)
+                mindist = edge_distances(p[sel], t).min(axis=1)
                 hit = sel[mindist >= -EPS_GEOM]
                 boundary_rank[hit] = np.minimum(boundary_rank[hit], r)
                 inside = sel[mindist > EPS_GEOM]

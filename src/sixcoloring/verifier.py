@@ -65,8 +65,10 @@ def _bbox_gap(p, q) -> float:
     return float(np.hypot(gap[0], gap[1]))
 
 
-def _same_color_pairs(t: Tiling, ct: ColoringType, radius_pad: float = 1.0):
-    """Yield (color, d, i, j, offset, P, Q_translated) for all relevant pairs."""
+def _pair_intervals(t: Tiling, ct: ColoringType, reach: float):
+    """Yield (color, d, i, j, offset, interval) for every relevant same-color
+    pair; interval is the realized (min, max) distance, or None when the
+    bounding boxes are more than d + reach apart."""
     diams = [polygon_max_distance(p, p) for p, _ in t.cells]
     centers = [p.vertices.mean(axis=0) for p, _ in t.cells]
     by_color = {}
@@ -79,17 +81,21 @@ def _same_color_pairs(t: Tiling, ct: ColoringType, radius_pad: float = 1.0):
                 # dist(P_i, P_j + off) >= |off| - |c_i - c_j| - diam_i - diam_j,
                 # so offsets beyond this radius cannot realize distance d
                 shift = float(np.linalg.norm(centers[i] - centers[j]))
-                radius = radius_pad * (d + diams[i] + diams[j] + shift)
-                offsets = _lattice_offsets(t.v1, t.v2, radius)
-                for a, b in offsets:
+                radius = d + diams[i] + diams[j] + shift
+                for a, b in _lattice_offsets(t.v1, t.v2, radius):
                     if i == j and (a, b) <= (0, 0) and (a, b) != (0, 0):
                         continue  # self-pairs: offsets come in +- pairs
-                    off = a * t.v1 + b * t.v2
-                    yield color, d, i, j, (a, b), t.cells[i][0], t.cells[j][0].translated(off)
+                    p, q = t.cells[i][0], t.cells[j][0].translated(a * t.v1 + b * t.v2)
+                    if _bbox_gap(p, q) > d + reach:
+                        yield color, d, i, j, (a, b), None
+                        continue
+                    mx = polygon_max_distance(p, q)
+                    mn = 0.0 if (i == j and (a, b) == (0, 0)) else polygon_min_distance(p, q)
+                    yield color, d, i, j, (a, b), (mn, mx)
 
 
 def verify(t: Tiling, ct: ColoringType, strictness: str = "open",
-           validate: bool = True, radius_pad: float = 1.0) -> VerificationReport:
+           validate: bool = True) -> VerificationReport:
     """Check that no color realizes its avoided distance.
 
     Under "open" strictness the cells are treated as open interiors: the
@@ -103,19 +109,18 @@ def verify(t: Tiling, ct: ColoringType, strictness: str = "open",
     witnesses = []
     pairs = 0
     translates = set()
-    for color, d, i, j, (a, b), p, q in _same_color_pairs(t, ct, radius_pad):
+    for color, d, i, j, offset, interval in _pair_intervals(t, ct, 0.0):
         pairs += 1
-        translates.add((a, b))
-        if _bbox_gap(p, q) > d:
+        translates.add(offset)
+        if interval is None:
             continue
-        mx = polygon_max_distance(p, q)
-        mn = 0.0 if (i == j and (a, b) == (0, 0)) else polygon_min_distance(p, q)
+        mn, mx = interval
         if strictness == "open":
             bad = (d - mn > VIOLATION_TOL) and (mx - d > VIOLATION_TOL)
         else:
             bad = (d >= mn - VIOLATION_TOL) and (d <= mx + VIOLATION_TOL)
         if bad:
-            witnesses.append(Witness(color, (i, j), (a, b), (mn, mx), d))
+            witnesses.append(Witness(color, (i, j), offset, interval, d))
     witnesses.sort(key=lambda w: (w.color, w.pair, w.offset))
     return VerificationReport(valid=not witnesses, witnesses=tuple(witnesses),
                               pairs_checked=pairs,
@@ -123,16 +128,11 @@ def verify(t: Tiling, ct: ColoringType, strictness: str = "open",
 
 
 def critical_witnesses(t: Tiling, ct: ColoringType) -> list:
-    """Same-color pairs whose realized interval endpoint is within 1e-6 of
-    the avoided distance: the binding constraints of a valid tiling."""
-    binding = []
-    for color, d, i, j, (a, b), p, q in _same_color_pairs(t, ct):
-        if _bbox_gap(p, q) > d + BINDING_TOL:
-            continue
-        mx = polygon_max_distance(p, q)
-        mn = 0.0 if (i == j and (a, b) == (0, 0)) else polygon_min_distance(p, q)
-        if abs(mn - d) <= BINDING_TOL or abs(mx - d) <= BINDING_TOL:
-            binding.append(Witness(color, (i, j), (a, b), (mn, mx), d))
+    """Same-color pairs whose realized interval endpoint is within BINDING_TOL
+    of the avoided distance: the binding constraints of a valid tiling."""
+    binding = [Witness(color, (i, j), offset, interval, d)
+               for color, d, i, j, offset, interval in _pair_intervals(t, ct, BINDING_TOL)
+               if interval is not None and min(abs(x - d) for x in interval) <= BINDING_TOL]
     binding.sort(key=lambda w: (w.color, w.pair, w.offset))
     return binding
 

@@ -13,6 +13,58 @@ def run(argv):
     return main(argv)
 
 
+def usage_error(argv, capsys):
+    """Run argv, expect argparse to reject it with exit 2; return stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_ERROR
+    return capsys.readouterr().err
+
+
+SCAN = ["scan", "--d-min", "0.45", "--d-max", "0.45", "--alpha-min", "120",
+        "--alpha-max", "120"]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("command", ["verify", "render", "probe"])
+    @pytest.mark.parametrize("d", ["inf", "nan", "1e6", "0", "-0.5", "1"])
+    def test_d_outside_open_unit_interval(self, capsys, tmp_path, command, d):
+        svg = tmp_path / "f.svg"
+        extra = {"verify": [], "render": ["--viewport", "0,0,1,1", "--out", str(svg)],
+                 "probe": ["--x", "0", "--y", "0"]}[command]
+        err = usage_error([command, "--coloring", "2", "--d", d] + extra, capsys)
+        assert "argument --d: must be finite and in (0, 1)" in err
+        assert not svg.exists()
+
+    @pytest.mark.parametrize("flag", ["--d-min", "--d-max", "--alpha-min", "--alpha-max"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_scan_non_finite_bound(self, capsys, tmp_path, flag, value):
+        err = usage_error(SCAN + [f"{flag}={value}", "--out", str(tmp_path / "s.csv")],
+                          capsys)
+        assert f"argument {flag}: must be finite" in err
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--d-step", "--alpha-step"])
+    @pytest.mark.parametrize("value", ["0", "-0.001", "nan", "inf"])
+    def test_scan_step_not_positive(self, capsys, tmp_path, flag, value):
+        err = usage_error(SCAN + [f"{flag}={value}", "--out", str(tmp_path / "s.csv")],
+                          capsys)
+        assert f"argument {flag}: must be finite and positive" in err
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_render_scale_not_positive(self, capsys, tmp_path, value):
+        svg = tmp_path / "f.svg"
+        err = usage_error(["render", "--coloring", "2", "--d", "0.5", "--viewport", "0,0,1,1",
+                           f"--scale={value}", "--out", str(svg)], capsys)
+        assert "argument --scale: must be finite and positive" in err
+        assert not svg.exists()
+
+    def test_not_a_number(self, capsys):
+        err = usage_error(["verify", "--coloring", "2", "--d", "half"], capsys)
+        assert "argument --d: invalid float value: 'half'" in err
+
+
 class TestVerify:
     def test_coloring_one_valid(self, capsys):
         assert run(["verify", "--coloring", "1", "--d", "0.45"]) == EXIT_VALID
@@ -30,6 +82,14 @@ class TestVerify:
         # d outside the interpolation range with no explicit alpha1
         assert run(["verify", "--coloring", "1", "--d", "0.9"]) == EXIT_ERROR
         assert "error" in capsys.readouterr().err
+
+    def test_json_unwritable_path(self, tmp_path, capsys):
+        out = tmp_path / "no" / "tiling.json"
+        assert run(["verify", "--coloring", "2", "--d", "0.5",
+                    "--json", str(out)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert "valid" not in captured.out
+        assert str(out) in captured.err
 
     def test_json_output(self, tmp_path):
         out = tmp_path / "tiling.json"
@@ -79,6 +139,7 @@ class TestScan:
         assert run(["scan", "--d-min", "0.45", "--d-max", "0.45", "--d-step", "0.001",
                     "--alpha-min", "120", "--alpha-max", "120", "--alpha-step", "1",
                     "--out", str(tmp_path / "no" / "dir.csv")]) == EXIT_ERROR
+        assert str(tmp_path / "no" / "dir.csv") in capsys.readouterr().err
 
 
 class TestRender:
@@ -113,6 +174,12 @@ class TestRender:
         assert run(["render", "--coloring", "1", "--d", "0.45",
                     "--viewport", "0,0,0,1", "--out", str(out)]) == EXIT_ERROR
         assert not out.exists()
+
+    def test_unwritable_path(self, tmp_path, capsys):
+        out = tmp_path / "no" / "fig.svg"
+        assert run(["render", "--coloring", "2", "--d", "0.5", "--viewport", "0,0,1,1",
+                    "--out", str(out)]) == EXIT_ERROR
+        assert str(out) in capsys.readouterr().err
 
     def test_bad_overlay(self, tmp_path):
         assert run(["render", "--coloring", "1", "--d", "0.45",

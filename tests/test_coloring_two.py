@@ -1,28 +1,36 @@
 """Tests for the fixed pentagon/square/heptagon/hexagon coloring."""
 
-import math
-
 import numpy as np
 import pytest
 
+from sixcoloring import coloring_two
 from sixcoloring.coloring_two import (
+    CELLS2,
     HEPTAGON_UNIT_DIAGONALS,
     HEXAGON_UNIT_DIAGONALS,
     SQRT3,
     _heptagon_points,
     assemble_block2,
-    build_heptagon,
-    build_hexagon2,
-    build_pentagon2,
-    build_square,
     closed_form_dmax,
     constants,
     quartic,
     solve_dmax,
 )
-from sixcoloring.geom import polygon_area, polygon_diameter
+from sixcoloring.errors import DomainError
+from sixcoloring.geom import ConvexPolygon, polygon_diameter
 from sixcoloring.tiling import ColoringType
 from sixcoloring.verifier import verify
+
+
+# rows of CELLS2: the blue hexagon, the red pentagon with apex PD, the
+# yellow base-row heptagon and the red square
+HEXAGON, PENTAGON, HEPTAGON, SQUARE = 3, 4, 6, 7
+
+
+def shape(row):
+    """The cell in row `row` of CELLS2, without its shift."""
+    pts = _heptagon_points(constants().d_max)
+    return ConvexPolygon(np.array([pts[n] for n in CELLS2[row][1]]))
 
 
 class TestRoots:
@@ -47,55 +55,37 @@ class TestRoots:
         assert real[0] == pytest.approx(solve_dmax(), abs=1e-9)
 
 
-class TestConstants:
-    def test_beta_angles(self):
-        c = constants()
-        # the two hexagon half-angle parameters sum against the square corner
-        acos4749 = math.degrees(math.acos(47 / 49))
-        assert c.beta1 == pytest.approx(45 + acos4749 / 4)
-        assert c.beta2 == pytest.approx(90 - acos4749 / 2)
-        assert 2 * c.beta1 + c.beta2 == pytest.approx(180.0)
-
-    def test_aux_point_offsets(self):
-        c = constants()
-        assert c.aux_x == pytest.approx(1 / 14)
-        assert c.aux_y == pytest.approx(2 * SQRT3 / 7)
-        # (aux_x, aux_y) lies on the unit circle around (aux_x - 1, -aux_y) + ...
-        # concretely: M and MM a unit apart
-        assert math.hypot(2 * c.aux_x, 2 * c.aux_y) == pytest.approx(1.0)
-
-
 class TestShapes:
     def test_square_diagonals_are_dmin(self):
         c = constants()
-        v = build_square(c).vertices
+        v = shape(SQUARE).vertices
         assert np.linalg.norm(v[0] - v[2]) == pytest.approx(c.d_min, abs=1e-12)
         assert np.linalg.norm(v[1] - v[3]) == pytest.approx(c.d_min, abs=1e-12)
-        assert polygon_diameter(build_square(c)) == pytest.approx(c.d_min, abs=1e-12)
+        assert polygon_diameter(shape(SQUARE)) == pytest.approx(c.d_min, abs=1e-12)
 
     def test_square_center(self):
-        v = build_square(constants()).vertices
+        v = shape(SQUARE).vertices
         np.testing.assert_allclose(v.mean(axis=0), [0.5, 0.0], atol=1e-12)
 
     def test_hexagon_unit_diagonals(self):
         c = constants()
         pts = _heptagon_points(c.d_max)
-        build_hexagon2(c)  # raises if any diagonal is off
+        assemble_block2(c)  # raises if any diagonal is off
         for a, b in HEXAGON_UNIT_DIAGONALS:
             assert np.linalg.norm(pts[a] - pts[b]) == pytest.approx(1.0, abs=1e-10)
 
     def test_hexagon_centrosymmetric(self):
-        v = build_hexagon2(constants()).vertices
+        v = shape(HEXAGON).vertices
         center = np.array([0.5, SQRT3])
         np.testing.assert_allclose(v[:3] + v[3:], np.tile(2 * center, (3, 1)), atol=1e-12)
 
     def test_hexagon_diameter_unit(self):
-        assert polygon_diameter(build_hexagon2(constants())) == pytest.approx(1.0, abs=1e-10)
+        assert polygon_diameter(shape(HEXAGON)) == pytest.approx(1.0, abs=1e-10)
 
     def test_heptagon_unit_diagonals(self):
         c = constants()
         pts = _heptagon_points(c.d_max)
-        build_heptagon(c)
+        assemble_block2(c)  # raises if any diagonal is off
         for a, b in HEPTAGON_UNIT_DIAGONALS:
             assert np.linalg.norm(pts[a] - pts[b]) == pytest.approx(1.0, abs=1e-10)
 
@@ -105,23 +95,23 @@ class TestShapes:
         assert np.linalg.norm(pts["I4"] - pts["I3"]) == pytest.approx(c.d_max, abs=1e-10)
 
     def test_heptagon_diameter_unit(self):
-        assert polygon_diameter(build_heptagon(constants())) == pytest.approx(1.0, abs=1e-10)
+        assert polygon_diameter(shape(HEPTAGON)) == pytest.approx(1.0, abs=1e-10)
 
     def test_shared_side_lengths_consistent(self):
         # the sides the heptagon shares with its translated neighbors must
         # match the lengths measured on the base heptagon itself
-        c = constants()
-        pts = _heptagon_points(c.d_max)
+        pts = _heptagon_points(constants().d_max)
+        u2 = np.linalg.norm(pts["I4"] - pts["NNN"])
+        u3 = np.linalg.norm(pts["I3"] - pts["PA"])
         u2_again = np.linalg.norm((pts["NN"] + [1, -SQRT3]) - pts["I4"])
-        assert c.u2 == pytest.approx(u2_again, abs=1e-12)
-        assert c.u3 == pytest.approx(np.linalg.norm(pts["I3"] - pts["PA"]), abs=1e-12)
+        assert u2 == pytest.approx(u2_again, abs=1e-12)
         # mirror symmetry: the left-side partners have the same lengths
         assert np.linalg.norm((pts["MM"] + [-1, -SQRT3]) - pts["I1"]) == pytest.approx(
-            c.u2, abs=1e-10)
-        assert np.linalg.norm(pts["I2"] - pts["PA"]) == pytest.approx(c.u3, abs=1e-10)
+            u2, abs=1e-10)
+        assert np.linalg.norm(pts["I2"] - pts["PA"]) == pytest.approx(u3, abs=1e-10)
 
     def test_pentagon_axisymmetric(self):
-        v = build_pentagon2(constants()).vertices
+        v = shape(PENTAGON).vertices
         mirrored = v.copy()
         mirrored[:, 0] = 1.0 - mirrored[:, 0]
         got = {tuple(np.round(p, 10)) for p in v}
@@ -130,7 +120,7 @@ class TestShapes:
 
     def test_pentagon_diameter_at_most_dmax(self):
         c = constants()
-        assert polygon_diameter(build_pentagon2(c)) <= c.d_max + 1e-10
+        assert polygon_diameter(shape(PENTAGON)) <= c.d_max + 1e-10
 
 
 class TestBlock:
@@ -157,6 +147,26 @@ class TestBlock:
         for d in (c.d_min, 0.5, 0.6, c.d_max):
             t = assemble_block2(c)
             assert verify(t, ColoringType.unit_except(red=d)).valid, d
+
+    @pytest.mark.parametrize("moved, segment", [("C", "B-C"), ("I4", "I4-I3")],
+                             ids=["unit diagonal", "edge d_max"])
+    def test_checks_lengths(self, monkeypatch, moved, segment):
+        # move one point by 1e-8: C lies only on the unit diagonal B-C; I4
+        # moves at right angles to its unit diagonal X-I4, so only I4-I3 is off
+        real = coloring_two._heptagon_points
+
+        def nudged(d_max):
+            pts = real(d_max)
+            if moved == "C":
+                pts["C"] = pts["C"] + [1e-8, 0.0]
+            else:
+                u = (pts["I4"] - pts["X"]) / np.linalg.norm(pts["I4"] - pts["X"])
+                pts["I4"] = pts["I4"] + 1e-8 * np.array([-u[1], u[0]])
+            return pts
+
+        monkeypatch.setattr(coloring_two, "_heptagon_points", nudged)
+        with pytest.raises(DomainError, match=segment):
+            assemble_block2(constants())
 
     def test_invalid_below_dmin(self):
         c = constants()

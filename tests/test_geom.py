@@ -8,11 +8,10 @@ import pytest
 from sixcoloring.errors import DomainError
 from sixcoloring.geom import (
     ConvexPolygon,
-    Location,
     RigidTransform,
     apply_transform,
     convex_intersection_area,
-    point_locate,
+    edge_distances,
     polygon_area,
     polygon_diameter,
     polygon_max_distance,
@@ -169,18 +168,27 @@ class TestMaxDistance:
                 assert abs(fn(p, q.translated(v)) - fn(p, q)) <= shift + 1e-9
 
 
-class TestPointLocate:
-    def test_centroid_interior(self):
+class TestEdgeDistances:
+    def test_unit_square(self):
+        pts = np.array([[0.5, 0.25], [0.0, 0.0], [2.0, 0.5]])
+        # edges of UNIT_SQUARE: bottom, right, top, left
+        np.testing.assert_allclose(edge_distances(pts, UNIT_SQUARE), [
+            [0.25, 0.5, 0.75, 0.5],
+            [0.0, 1.0, 1.0, 0.0],
+            [0.5, -1.0, 0.5, 2.0],
+        ], atol=1e-15)
+
+    def test_matches_inner_unit_normals(self):
+        # counterclockwise order puts each edge's inner normal on its left
         rng = np.random.default_rng(17)
         for _ in range(20):
             p = random_convex_polygon(rng)
-            assert point_locate(p.centroid(), p) is Location.INTERIOR
-
-    def test_vertex_boundary(self):
-        assert point_locate((0, 0), UNIT_SQUARE) is Location.BOUNDARY
-
-    def test_outside(self):
-        assert point_locate((2, 0.5), UNIT_SQUARE) is Location.OUTSIDE
+            pts = rng.uniform(-5, 5, (50, 2))
+            v, e = p.vertices, p.edge_vectors
+            normal = np.column_stack([-e[:, 1], e[:, 0]]) / p.edge_lengths[:, None]
+            want = ((pts[:, None, :] - v[None, :, :]) * normal[None, :, :]).sum(axis=2)
+            np.testing.assert_allclose(edge_distances(pts, p), want, atol=1e-12)
+            assert (edge_distances(v.mean(axis=0)[None, :], p) > 0).all()
 
 
 class TestTransforms:
@@ -215,17 +223,6 @@ class TestTransforms:
                             for i, a in enumerate(out.vertices)
                             for b in out.vertices[i + 1:])
             np.testing.assert_allclose(pairs0, pairs1, atol=1e-12)
-
-    def test_inverse_roundtrip(self):
-        rng = np.random.default_rng(29)
-        for _ in range(20):
-            t = RigidTransform(rotation=rng.uniform(0, 360),
-                               translation=tuple(rng.uniform(-2, 2, 2)),
-                               mirror=bool(rng.integers(2)))
-            p = random_convex_polygon(rng)
-            back = apply_transform(t.inverse(), apply_transform(t, p))
-            np.testing.assert_allclose(
-                np.sort(back.vertices, axis=0), np.sort(p.vertices, axis=0), atol=1e-9)
 
 
 class TestAreaAndIntersection:

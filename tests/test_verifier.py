@@ -7,9 +7,14 @@ from sixcoloring.coloring_one import Params1, assemble_block, default_alpha1
 from sixcoloring import tiling
 from sixcoloring.coloring_two import assemble_block2, constants
 from sixcoloring.errors import InvalidTilingError
-from sixcoloring.geom import EPS_GEOM, ConvexPolygon, polygon_min_distance
+from sixcoloring.geom import (
+    EPS_GEOM,
+    ConvexPolygon,
+    polygon_max_distance,
+    polygon_min_distance,
+)
 from sixcoloring.tiling import ColoringType, Tiling
-from sixcoloring.verifier import critical_witnesses, monte_carlo_check, verify
+from sixcoloring.verifier import VIOLATION_TOL, critical_witnesses, monte_carlo_check, verify
 
 
 def square_lattice_tiling(side=1.0):
@@ -51,6 +56,13 @@ def brute_force_color_at_many(t, pts):
     final = np.where(interior, interior_rank, boundary_rank)
     assert (final < nc).all()
     return np.array([t.priority[r] for r in final], dtype=object), interior
+
+
+class TestColoringType:
+    @pytest.mark.parametrize("d", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_rejects_non_finite_or_non_positive(self, d):
+        with pytest.raises(ValueError, match="finite and positive"):
+            ColoringType.unit_except(red=d)
 
 
 class TestSingleSquare:
@@ -119,16 +131,27 @@ class TestColorings:
         assert r0.pairs_checked == r1.pairs_checked
 
     def test_enumeration_radius_invariance(self):
+        # verify enumerates offsets with |a|, |b| <= 1 here; its verdict must
+        # equal one taken over every offset with |a|, |b| <= 4
         ct2 = constants()
         cases = [(assemble_block(Params1(d, default_alpha1(d))), d)
                  for d in (0.354, 0.45, 0.553)]
         cases += [(assemble_block2(ct2), d) for d in (0.3, ct2.d_min, 0.5, ct2.d_max, 0.7)]
         for t, d in cases:
             ct = ColoringType.unit_except(red=d)
-            r1 = verify(t, ct, validate=False)
-            r2 = verify(t, ct, validate=False, radius_pad=2.0)
-            assert r1.valid == r2.valid, d
-            assert r2.translates_enumerated >= r1.translates_enumerated
+            valid = True
+            for i, (p, color) in enumerate(t.cells):
+                dd = ct.distances[color]
+                for j in range(i, len(t.cells)):
+                    if t.cells[j][1] != color:
+                        continue
+                    for a in range(-4, 5):
+                        for b in range(-4, 5):
+                            q = t.cells[j][0].translated(a * t.v1 + b * t.v2)
+                            mn = 0.0 if i == j and a == b == 0 else polygon_min_distance(p, q)
+                            mx = polygon_max_distance(p, q)
+                            valid &= not (dd - mn > VIOLATION_TOL and mx - dd > VIOLATION_TOL)
+            assert verify(t, ct, validate=False).valid == valid, d
 
 
 class TestCriticalWitnesses:
