@@ -41,27 +41,30 @@ def cmd_verify(args) -> int:
 
 
 def _float_range(lo: float, hi: float, step: float):
-    n = int(round((hi - lo) / step))
-    return [round(lo + k * step, 12) for k in range(n + 1)]
+    steps = (hi - lo) / step
+    if not math.isfinite(steps):
+        raise ValueError(f"step {step} is too small for the range [{lo}, {hi}]")
+    return (round(lo + k * step, 12) for k in range(int(round(steps)) + 1))
 
 
 def cmd_scan(args) -> int:
-    rows = []
-    for d in _float_range(args.d_min, args.d_max, args.d_step):
-        for a in _float_range(args.alpha_min, args.alpha_max, args.alpha_step):
-            try:
-                r = coloring_one.constraints(coloring_one.Params1(d, a))
-                feasible = r.satisfied()
-                res = ",".join(f"{x:.12g}" for x in r.as_tuple())
-            except (DomainError, RangeError):
-                feasible = False
-                res = ",".join(["nan"] * 6)
-            rows.append(f"{d:.12g},{a:.12g},{res},{str(feasible).lower()}")
-    header = "d,alpha1,r1,r2,r3,r4,r5,r6,feasible"
-    text = "\r\n".join([header] + rows) + "\r\n"
+    rows = 0
+    ds = _float_range(args.d_min, args.d_max, args.d_step)
+    alphas = list(_float_range(args.alpha_min, args.alpha_max, args.alpha_step))
     with open(args.out, "w", newline="") as fh:
-        fh.write(text)
-    print(f"wrote {len(rows)} rows to {args.out}")
+        fh.write("d,alpha1,r1,r2,r3,r4,r5,r6,feasible\r\n")
+        for d in ds:
+            for a in alphas:
+                try:
+                    r = coloring_one.constraints(coloring_one.Params1(d, a))
+                    feasible = r.satisfied()
+                    res = ",".join(f"{x:.12g}" for x in r.as_tuple())
+                except (DomainError, RangeError):
+                    feasible = False
+                    res = ",".join(["nan"] * 6)
+                fh.write(f"{d:.12g},{a:.12g},{res},{str(feasible).lower()}\r\n")
+                rows += 1
+    print(f"wrote {rows} rows to {args.out}")
     return EXIT_VALID
 
 
@@ -78,8 +81,7 @@ def cmd_render(args) -> int:
             return EXIT_ERROR
         r = [(rr, DASH_AVOID) for rr in parts[2:]] or radii
         overlays.append(Overlay(center=(parts[0], parts[1]), radii=tuple(r)))
-    x0, y0, x1, y1 = (float(x) for x in args.viewport.split(","))
-    spec = RenderSpec(viewport=(x0, y0, x1, y1), scale=args.scale, overlays=tuple(overlays))
+    spec = RenderSpec(viewport=args.viewport, scale=args.scale, overlays=tuple(overlays))
     svg = render_svg(tiling, spec)
     with open(args.out, "w") as fh:
         fh.write(svg)
@@ -118,6 +120,17 @@ POSITIVE = _float(lambda x: x > 0, "finite and positive")
 OPEN_UNIT = _float(lambda x: 0 < x < 1, "finite and in (0, 1)")
 
 
+def _viewport(text):
+    """argparse type: four comma-separated finite floats x0,y0,x1,y1."""
+    try:
+        corners = tuple(float(x) for x in text.split(","))
+    except ValueError:
+        corners = ()
+    if len(corners) != 4 or not all(math.isfinite(x) for x in corners):
+        raise argparse.ArgumentTypeError(f"must be four finite numbers x0,y0,x1,y1, got {text}")
+    return corners
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sixcoloring",
@@ -149,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="render a tiling to SVG")
     add_tiling_args(p)
-    p.add_argument("--viewport", required=True, help="x0,y0,x1,y1 in plane units")
+    p.add_argument("--viewport", type=_viewport, required=True,
+                   help="x0,y0,x1,y1 in plane units")
     p.add_argument("--scale", type=POSITIVE, default=200.0)
     p.add_argument("--overlay", action="append", default=None,
                    help="x,y[,r...] circle overlay; repeatable")

@@ -54,13 +54,18 @@ class ConvexPolygon:
             raise DomainError("polygon vertices must be finite")
         if _shoelace(v) < 0:
             v = v[::-1].copy()
-        edges = np.roll(v, -1, axis=0) - v
-        lengths = np.hypot(edges[:, 0], edges[:, 1])
-        if np.any(lengths < EPS_GEOM):
+        self._store(v)
+        if np.any(self.edge_lengths < EPS_GEOM):
             raise DomainError("consecutive vertices closer than EPS_GEOM")
+        edges = self.edge_vectors
         cross = edges[:, 0] * np.roll(edges[:, 1], -1) - edges[:, 1] * np.roll(edges[:, 0], -1)
         if np.any(cross < -EPS_GEOM):
             raise DomainError("polygon is not convex within tolerance")
+
+    def _store(self, v: np.ndarray) -> None:
+        """Keep vertices v with their edge vectors and lengths, read-only."""
+        edges = np.roll(v, -1, axis=0) - v
+        lengths = np.hypot(edges[:, 0], edges[:, 1])
         for name, a in (("vertices", v), ("edge_vectors", edges), ("edge_lengths", lengths)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -71,7 +76,11 @@ class ConvexPolygon:
         return np.stack([self.vertices, np.roll(self.vertices, -1, axis=0)], axis=1)
 
     def translated(self, offset) -> "ConvexPolygon":
-        return ConvexPolygon(self.vertices + np.asarray(offset, dtype=float))
+        """This polygon moved by `offset`. A translation keeps orientation and
+        convexity, so the constructor's checks are not run again."""
+        moved = object.__new__(ConvexPolygon)
+        moved._store(self.vertices + np.asarray(offset, dtype=float))
+        return moved
 
 
 @dataclass(frozen=True)
@@ -165,8 +174,10 @@ def polygon_min_distance(p: ConvexPolygon, q: ConvexPolygon) -> float:
 
 def convex_intersection_area(p: ConvexPolygon, q: ConvexPolygon) -> float:
     """Area of the intersection of two convex polygons (Sutherland-Hodgman)."""
-    poly = [tuple(v) for v in p.vertices]
-    for (cx0, cy0), (cx1, cy1) in zip(q.vertices, np.roll(q.vertices, -1, axis=0)):
+    # Python floats: the same IEEE arithmetic as numpy scalars, done faster
+    poly = p.vertices.tolist()
+    clip = q.vertices.tolist()
+    for (cx0, cy0), (cx1, cy1) in zip(clip, clip[1:] + clip[:1]):
         if not poly:
             return 0.0
         ex, ey = cx1 - cx0, cy1 - cy0

@@ -42,10 +42,12 @@ class RenderSpec:
 
     def __post_init__(self):
         x0, y0, x1, y1 = self.viewport
+        if not all(math.isfinite(x) for x in self.viewport):
+            raise ValueError("viewport corners must be finite")
         if not (x1 > x0 and y1 > y0):
             raise ValueError("viewport must have positive width and height")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError("scale must be finite and positive")
 
 
 def _fmt(x: float) -> str:

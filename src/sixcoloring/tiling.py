@@ -8,13 +8,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidTilingError
+from .errors import InvalidTilingError, RangeError
 from .geom import (
     EPS_GEOM,
     ConvexPolygon,
     convex_intersection_area,
     edge_distances,
     polygon_area,
+    polygon_diameter,
     polygon_min_distance,
 )
 
@@ -28,6 +29,48 @@ DEFAULT_PRIORITY = ("red", "orange", "green", "blue", "yellow", "turquoise")
 # 1984) and works through LOCATE_CHUNK points at a time to bound temporaries
 LOCATE_GRID = 64
 LOCATE_CHUNK = 1 << 16
+
+# two cells overlap when their intersection has more than this area
+OVERLAP_AREA_TOL = 1e-12
+
+# the most lattice offsets one neighbourhood may hold; a larger radius raises
+# RangeError instead of filling memory
+MAX_OFFSETS = 1 << 20
+
+
+def _lattice_offsets(v1: np.ndarray, v2: np.ndarray, radius: float):
+    """Integer arrays (a, b) of every offset with |a v1 + b v2| <= radius, in
+    lexicographic order, and the float array of those lengths.
+
+    Row a of the disk is the b-interval of half-width
+    sqrt(|v2|^2 r^2 - a^2 det^2) / |v2|^2 centred on -a (v1.v2) / |v2|^2, and
+    rows with |a| > r |v2| / |det| are empty, so memory grows with the rows
+    and offsets returned, not with a bounding square.
+    """
+    g22 = float(v2 @ v2)
+    det = abs(float(v1[0] * v2[1] - v1[1] * v2[0]))
+    extent = radius * math.sqrt(g22) / det
+    if not 2 * extent + 3 <= MAX_OFFSETS:
+        raise RangeError(f"lattice neighbourhood of radius {radius} is too large")
+    a_max = math.floor(extent) + 1
+    a = np.arange(-a_max, a_max + 1)
+    centre = -a * float(v1 @ v2) / g22
+    half = np.sqrt(np.maximum(0.0, g22 * radius ** 2 - (a * det) ** 2)) / g22
+    # one spare b at each end absorbs rounding; the exact test below decides
+    lo = np.floor(centre - half).astype(np.int64) - 1
+    hi = np.ceil(centre + half).astype(np.int64) + 1
+    count = hi - lo + 1
+    total = int(count.sum())
+    if total > MAX_OFFSETS:
+        raise RangeError(f"lattice neighbourhood of radius {radius} is too large")
+    start = np.repeat(np.cumsum(count) - count, count)
+    a, b = np.repeat(a, count), np.arange(total) - start + np.repeat(lo, count)
+    vec = a[:, None] * v1 + b[:, None] * v2
+    # np.vecdot reduces each row with the dot kernel np.linalg.norm uses on
+    # one vector, so the lengths agree with it bit for bit
+    length = np.sqrt(np.vecdot(vec, vec))
+    keep = length <= radius
+    return a[keep], b[keep], length[keep]
 
 
 @dataclass(frozen=True)
@@ -56,6 +99,9 @@ class Tiling:
         self.v1 = np.asarray(v1, dtype=float)
         self.v2 = np.asarray(v2, dtype=float)
         self.priority = tuple(priority)
+        unknown = {c for _, c in self.cells} - set(self.priority)
+        if unknown:
+            raise InvalidTilingError(f"cell colors {sorted(unknown)} are not in the priority")
         if abs(self.cell_area()) <= 0:
             raise InvalidTilingError("lattice vectors are linearly dependent")
         self._locator = None
@@ -66,21 +112,56 @@ class Tiling:
     def block_area(self) -> float:
         return sum(polygon_area(p) for p, _ in self.cells)
 
+    def translate_pairs(self, pairs, pad):
+        """The candidate translate pairs of the cell pairs `pairs`.
+
+        For each (i, j) in `pairs` and the matching entry of `pad` (a scalar
+        or one per pair), every lattice offset (a, b) with
+        |a v1 + b v2| <= pad + diam_i + diam_j + |c_i - c_j|, c being a
+        cell's vertex mean: since
+        dist(P_i, P_j + off) >= |off| - |c_i - c_j| - diam_i - diam_j, the
+        offsets left out keep the two cells more than pad apart. Returns the
+        integer arrays i, j, a, b, ordered by pair and then lexicographically
+        by offset, and the distance between the bounding box of cell i and
+        that of cell j moved by a v1 + b v2.
+        """
+        polys = [p for p, _ in self.cells]
+        diams = np.array([polygon_diameter(p) for p in polys])
+        centers = np.array([p.vertices.mean(axis=0) for p in polys])
+        box_lo = np.array([p.vertices.min(axis=0) for p in polys])
+        box_hi = np.array([p.vertices.max(axis=0) for p in polys])
+        pi, pj = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        dc = centers[pi] - centers[pj]
+        shift = np.sqrt(np.vecdot(dc, dc))
+        radius = np.asarray(pad, dtype=float) + diams[pi] + diams[pj] + shift
+        a, b, length = _lattice_offsets(self.v1, self.v2, float(radius.max(initial=0.0)))
+        pair, k = np.nonzero(length[None, :] <= radius[:, None])
+        i, j, a, b = pi[pair], pj[pair], a[k], b[k]
+        off = a[:, None] * self.v1 + b[:, None] * self.v2
+        gap = np.maximum(0.0, np.maximum(box_lo[j] + off - box_hi[i],
+                                         box_lo[i] - (box_hi[j] + off)))
+        return i, j, a, b, np.hypot(gap[:, 0], gap[:, 1])
+
     def validate(self, eps: float = EPS_GEOM) -> None:
-        """Check the partition invariants; raise InvalidTilingError on failure."""
+        """Check the partition invariants; raise InvalidTilingError on failure.
+
+        The block must have the lattice cell's area, and no two cell
+        translates may overlap. Cells i <= j are compared at every offset
+        that can bring them within distance 0 (see translate_pairs), but
+        only where their bounding boxes meet are they clipped.
+        """
         if abs(self.block_area() - self.cell_area()) > eps:
             raise InvalidTilingError(
                 f"block area {self.block_area()} != lattice cell area {self.cell_area()}"
             )
-        offsets = [a * self.v1 + b * self.v2 for a in (-1, 0, 1) for b in (-1, 0, 1)]
-        for i, (p, _) in enumerate(self.cells):
-            for j in range(i, len(self.cells)):
-                q = self.cells[j][0]
-                for off in offsets:
-                    if i == j and not np.any(off):
-                        continue
-                    if convex_intersection_area(p, q.translated(off)) > 1e-12:
-                        raise InvalidTilingError(f"cells {i} and {j} overlap")
+        n = len(self.cells)
+        pi, pj, pa, pb, gap = self.translate_pairs(
+            [(i, j) for i in range(n) for j in range(i, n)], 0.0)
+        meet = (gap <= 0.0) & ~((pi == pj) & (pa == 0) & (pb == 0))
+        for i, j, a, b in zip(*(x[meet].tolist() for x in (pi, pj, pa, pb))):
+            q = self.cells[j][0].translated(a * self.v1 + b * self.v2)
+            if convex_intersection_area(self.cells[i][0], q) > OVERLAP_AREA_TOL:
+                raise InvalidTilingError(f"cells {i} and {j} overlap")
 
     # --- point coloring -------------------------------------------------
 

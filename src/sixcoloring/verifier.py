@@ -45,53 +45,30 @@ class VerificationReport:
         return "valid" if self.valid else "invalid"
 
 
-def _lattice_offsets(v1: np.ndarray, v2: np.ndarray, radius: float):
-    """All integer (a, b) with |a v1 + b v2| <= radius."""
-    s = np.linalg.svd(np.column_stack([v1, v2]), compute_uv=False)[-1]
-    bound = int(math.ceil(radius / s)) + 1
-    out = []
-    for a in range(-bound, bound + 1):
-        for b in range(-bound, bound + 1):
-            if np.linalg.norm(a * v1 + b * v2) <= radius:
-                out.append((a, b))
-    return out
-
-
-def _bbox_gap(p, q) -> float:
-    """Cheap lower bound on the min distance via bounding boxes."""
-    pmin, pmax = p.vertices.min(axis=0), p.vertices.max(axis=0)
-    qmin, qmax = q.vertices.min(axis=0), q.vertices.max(axis=0)
-    gap = np.maximum(0.0, np.maximum(qmin - pmax, pmin - qmax))
-    return float(np.hypot(gap[0], gap[1]))
-
-
 def _pair_intervals(t: Tiling, ct: ColoringType, reach: float):
     """Yield (color, d, i, j, offset, interval) for every relevant same-color
     pair; interval is the realized (min, max) distance, or None when the
     bounding boxes are more than d + reach apart."""
-    diams = [polygon_max_distance(p, p) for p, _ in t.cells]
-    centers = [p.vertices.mean(axis=0) for p, _ in t.cells]
     by_color = {}
     for idx, (_, color) in enumerate(t.cells):
         by_color.setdefault(color, []).append(idx)
-    for color, idxs in by_color.items():
+    pairs = [(i, j) for idxs in by_color.values()
+             for ii, i in enumerate(idxs) for j in idxs[ii:]]
+    # offsets farther than d + diameters + center shift cannot realize d
+    pi, pj, pa, pb, gap = t.translate_pairs(
+        pairs, [ct.distances[t.cells[i][1]] for i, _ in pairs])
+    # self-pairs: offsets come in +- pairs, so only the non-negative half
+    keep = (pi != pj) | (pa > 0) | ((pa == 0) & (pb >= 0))
+    for i, j, a, b, g in zip(*(x[keep].tolist() for x in (pi, pj, pa, pb, gap))):
+        color = t.cells[i][1]
         d = ct.distances[color]
-        for ii, i in enumerate(idxs):
-            for j in idxs[ii:]:
-                # dist(P_i, P_j + off) >= |off| - |c_i - c_j| - diam_i - diam_j,
-                # so offsets beyond this radius cannot realize distance d
-                shift = float(np.linalg.norm(centers[i] - centers[j]))
-                radius = d + diams[i] + diams[j] + shift
-                for a, b in _lattice_offsets(t.v1, t.v2, radius):
-                    if i == j and (a, b) <= (0, 0) and (a, b) != (0, 0):
-                        continue  # self-pairs: offsets come in +- pairs
-                    p, q = t.cells[i][0], t.cells[j][0].translated(a * t.v1 + b * t.v2)
-                    if _bbox_gap(p, q) > d + reach:
-                        yield color, d, i, j, (a, b), None
-                        continue
-                    mx = polygon_max_distance(p, q)
-                    mn = 0.0 if (i == j and (a, b) == (0, 0)) else polygon_min_distance(p, q)
-                    yield color, d, i, j, (a, b), (mn, mx)
+        if g > d + reach:
+            yield color, d, i, j, (a, b), None
+            continue
+        p, q = t.cells[i][0], t.cells[j][0].translated(a * t.v1 + b * t.v2)
+        mx = polygon_max_distance(p, q)
+        mn = 0.0 if (i == j and (a, b) == (0, 0)) else polygon_min_distance(p, q)
+        yield color, d, i, j, (a, b), (mn, mx)
 
 
 def verify(t: Tiling, ct: ColoringType, strictness: str = "open",

@@ -121,6 +121,7 @@ def test_criterion_4_construction_invariants():
 
 
 def test_criterion_5_constraint_verifier_equivalence():
+    t0 = time.perf_counter()
     ok = True
     checked = 0
     for d in np.linspace(0.32, 0.60, 30):
@@ -144,6 +145,7 @@ def test_criterion_5_constraint_verifier_equivalence():
                       f"residuals say {feasible}, verifier says {valid}")
                 ok = False
     ok &= checked > 0
+    ok &= (time.perf_counter() - t0) < 30
     report(5, "constraint/verifier equivalence", ok)
 
 

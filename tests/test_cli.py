@@ -1,8 +1,11 @@
 """Tests for the command-line interface and SVG rendering."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from sixcoloring import coloring_one
 from sixcoloring.cli import EXIT_ERROR, EXIT_INVALID, EXIT_VALID, main
 from sixcoloring.coloring_two import constants
 from sixcoloring.render import RenderSpec
@@ -52,12 +55,29 @@ class TestBadInput:
         assert f"argument {flag}: must be finite and positive" in err
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("flag", ["--d-step", "--alpha-step"])
+    def test_scan_step_too_small_for_range(self, capsys, tmp_path, flag):
+        out = tmp_path / "s.csv"
+        assert run(SCAN + ["--d-max=0.55", "--alpha-max=130", f"{flag}=5e-324",
+                           "--out", str(out)]) == EXIT_ERROR
+        assert "step 5e-324 is too small" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "0"])
     def test_render_scale_not_positive(self, capsys, tmp_path, value):
         svg = tmp_path / "f.svg"
         err = usage_error(["render", "--coloring", "2", "--d", "0.5", "--viewport", "0,0,1,1",
                            f"--scale={value}", "--out", str(svg)], capsys)
         assert "argument --scale: must be finite and positive" in err
+        assert not svg.exists()
+
+    @pytest.mark.parametrize("viewport", ["0,0,inf,1", "-inf,0,1,1", "0,nan,1,1", "0,0,1",
+                                          "0,0,1,1,2", "0,0,one,1"])
+    def test_render_viewport_not_four_finite_numbers(self, capsys, tmp_path, viewport):
+        svg = tmp_path / "f.svg"
+        err = usage_error(["render", "--coloring", "2", "--d", "0.5", f"--viewport={viewport}",
+                           "--out", str(svg)], capsys)
+        assert "argument --viewport: must be four finite numbers" in err
         assert not svg.exists()
 
     def test_not_a_number(self, capsys):
@@ -127,6 +147,22 @@ class TestScan:
         run(args + ["--out", str(a)])
         run(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_rows_not_held_in_memory(self, tmp_path, monkeypatch, capsys):
+        # 10,000 rows of about 110 bytes each; only the file buffer may grow
+        fixed = coloring_one.constraints(coloring_one.Params1(0.45, 120.0))
+        monkeypatch.setattr(coloring_one, "constraints", lambda p: fixed)
+        out = tmp_path / "scan.csv"
+        tracemalloc.start()
+        try:
+            run(["scan", "--d-min", "0.3", "--d-max", "0.399", "--alpha-min", "100",
+                 "--alpha-max", "199", "--alpha-step", "1", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f"wrote 10000 rows to {out}" in capsys.readouterr().out
+        assert out.read_bytes().count(b"\r\n") == 10001
+        assert peak < 1 << 20
 
     def test_empty_grid_header_only(self, tmp_path):
         out = tmp_path / "scan.csv"
@@ -219,6 +255,19 @@ class TestRenderSpec:
         with pytest.raises(ValueError):
             RenderSpec(viewport=(0, 0, 1, 1), scale=0)
 
+    @pytest.mark.parametrize("scale", [np.nan, np.inf])
+    def test_rejects_non_finite_scale(self, scale):
+        with pytest.raises(ValueError, match="finite"):
+            RenderSpec(viewport=(0, 0, 1, 1), scale=scale)
+
     def test_rejects_empty_viewport(self):
         with pytest.raises(ValueError):
             RenderSpec(viewport=(0, 0, 1, 0))
+
+    @pytest.mark.parametrize("corner", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_viewport(self, corner):
+        for k in range(4):
+            viewport = [0.0, 0.0, 1.0, 1.0]
+            viewport[k] = corner
+            with pytest.raises(ValueError, match="finite"):
+                RenderSpec(viewport=tuple(viewport))

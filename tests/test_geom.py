@@ -94,6 +94,16 @@ class TestConstruction:
         with pytest.raises(DomainError):
             ConvexPolygon(np.array([[0, 0], [1, np.nan], [0, 1]]))
 
+    def test_translated_matches_constructor(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            p = random_convex_polygon(rng, n=int(rng.integers(3, 9)))
+            off = rng.normal(size=2) * 10.0 ** rng.integers(-3, 3)
+            moved, built = p.translated(off), ConvexPolygon(p.vertices + off)
+            for name in ("vertices", "edge_vectors", "edge_lengths"):
+                np.testing.assert_array_equal(getattr(moved, name), getattr(built, name))
+                assert not getattr(moved, name).flags.writeable
+
 
 class TestMinDistance:
     def test_translated_square_gap(self):

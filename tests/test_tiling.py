@@ -1,0 +1,128 @@
+"""Tests for the partition check, the lattice neighbourhoods and tiling input."""
+
+import json
+import time
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from sixcoloring.coloring_one import Params1, assemble_block
+from sixcoloring.coloring_two import assemble_block2, constants
+from sixcoloring.errors import InvalidTilingError, RangeError
+from sixcoloring.geom import ConvexPolygon, convex_intersection_area
+from sixcoloring.tiling import OVERLAP_AREA_TOL, ColoringType, Tiling, _lattice_offsets
+from sixcoloring.verifier import verify
+
+
+def box(x0, x1, y0=0.0, y1=1.0):
+    return ConvexPolygon(np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]], dtype=float))
+
+
+def far_overlap_tiling():
+    """Block area equals the cell area, but A overlaps B + 2 v1 only."""
+    return Tiling([(box(0.0, 0.5), "red"), (box(-1.75, -1.25), "blue")], (1.0, 0.0), (0.0, 1.0))
+
+
+def moved_cell(t, k, shift):
+    """t with cell k translated by `shift`: same block area, overlapping cells."""
+    cells = [(p.translated(shift) if i == k else p, c) for i, (p, c) in enumerate(t.cells)]
+    return Tiling(cells, t.v1, t.v2, t.priority)
+
+
+def brute_force_validate(t, reach=3):
+    """Reference partition check: clip every cell pair i <= j at every offset
+    with |a|, |b| <= reach, in the order Tiling.validate reports."""
+    if abs(t.block_area() - t.cell_area()) > 1e-9:
+        return "area"
+    for i, (p, _) in enumerate(t.cells):
+        for j in range(i, len(t.cells)):
+            for a in range(-reach, reach + 1):
+                for b in range(-reach, reach + 1):
+                    if i == j and a == b == 0:
+                        continue
+                    q = t.cells[j][0].translated(a * t.v1 + b * t.v2)
+                    if convex_intersection_area(p, q) > OVERLAP_AREA_TOL:
+                        return f"cells {i} and {j} overlap"
+    return None
+
+
+def validate_outcome(t):
+    try:
+        t.validate()
+    except InvalidTilingError as exc:
+        return "area" if str(exc).startswith("block area") else str(exc)
+    return None
+
+
+class TestValidate:
+    def test_overlap_beyond_adjacent_translates(self):
+        # the hard-coded |a|, |b| <= 1 neighbourhood missed this overlap
+        t = far_overlap_tiling()
+        assert t.block_area() == pytest.approx(t.cell_area())
+        with pytest.raises(InvalidTilingError, match="cells 0 and 1 overlap"):
+            t.validate()
+
+    def test_matches_brute_force(self):
+        # coloring 1 inside and outside its feasible band, and coloring 2
+        c1 = [assemble_block(Params1(d, a))
+              for d in (0.36, 0.45, 0.50) for a in (106.0, 120.0, 140.0)]
+        t2 = assemble_block2(constants())
+        # moving one cell keeps the block area but makes it overlap a neighbour
+        moved = [moved_cell(t, k, shift) for t in (c1[4], t2)
+                 for k in (0, 3) for shift in ((0.05, 0.0), (0.0, -0.2))]
+        cases = c1 + [t2, far_overlap_tiling()] + moved
+        outcomes = [brute_force_validate(t) for t in cases]
+        assert None in outcomes and any(o and "overlap" in o for o in outcomes)
+        assert [validate_outcome(t) for t in cases] == outcomes
+
+
+class TestLatticeOffsets:
+    @staticmethod
+    def loop_offsets(v1, v2, radius, bound):
+        return [(a, b) for a in range(-bound, bound + 1) for b in range(-bound, bound + 1)
+                if np.linalg.norm(a * v1 + b * v2) <= radius]
+
+    def test_matches_loop(self):
+        rng = np.random.default_rng(11)
+        t1 = assemble_block(Params1(0.45, 120.0))
+        lattices = [(t1.v1, t1.v2), (np.array([1.0, 0.0]), np.array([0.0, 1.0]))]
+        lattices += [(rng.normal(size=2), rng.normal(size=2)) for _ in range(30)]
+        for v1, v2 in lattices:
+            s = np.linalg.svd(np.column_stack([v1, v2]), compute_uv=False)[-1]
+            for radius in (0.0, 0.7, 2.5, float(np.hypot(*v1))):
+                a, b, length = _lattice_offsets(v1, v2, radius)
+                bound = int(np.ceil(radius / s)) + 1
+                assert list(zip(a.tolist(), b.tolist())) == \
+                    self.loop_offsets(v1, v2, radius, bound)
+                assert length.tolist() == [np.linalg.norm(x * v1 + y * v2)
+                                           for x, y in zip(a, b)]
+
+    def test_memory_follows_offsets_returned(self):
+        # a bounding square of this skewed lattice at radius 5 holds ~10^8
+        # offsets; the disk holds about 80
+        v1, v2 = np.array([1.0, 0.0]), np.array([1000.0, 1.0])
+        tracemalloc.start()
+        try:
+            a, b, _ = _lattice_offsets(v1, v2, 5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 60 < len(a) < 100
+        assert np.all(np.hypot(a + 1000.0 * b, b) <= 5.0)
+        assert peak < 4 << 20
+
+    def test_huge_radius_rejected(self):
+        t2 = assemble_block2(constants())
+        t0 = time.perf_counter()
+        with pytest.raises(RangeError, match="too large"):
+            verify(t2, ColoringType.unit_except(1e6), validate=False)
+        assert time.perf_counter() - t0 < 5
+
+
+class TestCellColors:
+    def test_unknown_color_rejected_on_load(self):
+        doc = json.loads(far_overlap_tiling().to_json())
+        doc["cells"][1]["color"] = "purple"
+        with pytest.raises(InvalidTilingError, match="purple"):
+            Tiling.from_json(json.dumps(doc))
