@@ -172,8 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe", help="print the color at a point")
     add_tiling_args(p)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
+    p.add_argument("--x", type=FINITE, required=True)
+    p.add_argument("--y", type=FINITE, required=True)
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("roots", help="print d_max, d_min, and cross-checks")

@@ -32,6 +32,14 @@ ALPHA1_BASE = 113.7
 ALPHA1_RISE = 14.11
 ALPHA1_SLOPE = ALPHA1_RISE / (D_HIGH - D_LOW)
 
+# sqrt and acos/asin arguments at most DOMAIN_ROUNDOFF outside their domain
+# are roundoff at binding configurations and are clamped
+DOMAIN_ROUNDOFF = 1e-12
+
+# the hexagon's closing side must be s5 within CLOSURE_TOL; its roundoff is
+# below 1e-15 over the (d, alpha1) plane, so this catches a wrong angle only
+CLOSURE_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class Params1:
@@ -105,7 +113,7 @@ class ConstraintResiduals:
 
 def _checked_sqrt(x: float, what: str) -> float:
     if x < 0:
-        if x > -1e-12:  # roundoff at binding configurations
+        if x > -DOMAIN_ROUNDOFF:
             return 0.0
         raise DomainError(f"negative sqrt argument in {what}: {x}")
     return math.sqrt(x)
@@ -113,7 +121,7 @@ def _checked_sqrt(x: float, what: str) -> float:
 
 def _checked_arc(fn, x: float, what: str) -> float:
     """Degrees of fn (math.acos or math.asin) at x, clamped into [-1, 1]."""
-    if not abs(x) <= 1.0 + 1e-12:  # beyond roundoff at binding configurations
+    if not abs(x) <= 1.0 + DOMAIN_ROUNDOFF:
         raise DomainError(f"{fn.__name__} argument out of range in {what}: {x}")
     return math.degrees(fn(max(-1.0, min(1.0, x))))
 
@@ -244,7 +252,7 @@ def build_hexagon(q: DerivedQuantities1) -> ConvexPolygon:
         pts.append(pts[-1] + length * dirvec(heading))
     hexagon = ConvexPolygon(np.array(pts))
     closing = np.linalg.norm(pts[-1] - pts[0])
-    if abs(closing - q.s5) > 1e-6:
+    if abs(closing - q.s5) > CLOSURE_TOL:
         raise DomainError("hexagon does not close")
     return hexagon
 

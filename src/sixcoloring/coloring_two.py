@@ -18,6 +18,10 @@ from .tiling import DEFAULT_PRIORITY, Tiling
 
 SQRT3 = math.sqrt(3)
 
+# the checked lengths of assemble_block2 hold within LENGTH_TOL; their
+# roundoff is about 1e-16, so this catches a wrong vertex only
+LENGTH_TOL = 1e-10
+
 
 def quartic(x: float) -> float:
     """The defining polynomial of d_max."""
@@ -137,12 +141,12 @@ def assemble_block2(c: Constants2) -> Tiling:
     """Fundamental block of the second coloring; lattice (2, 0) and (1, sqrt(3)).
 
     Raises DomainError unless the seven unit diagonals are unit and the
-    heptagon edge I4-I3 is d_max, within 1e-10.
+    heptagon edge I4-I3 is d_max, within LENGTH_TOL.
     """
     pts = _heptagon_points(c.d_max)
     lengths = [(a, b, 1.0) for a, b in HEPTAGON_UNIT_DIAGONALS + HEXAGON_UNIT_DIAGONALS]
     for a, b, length in lengths + [("I4", "I3", c.d_max)]:
-        if abs(np.linalg.norm(pts[a] - pts[b]) - length) > 1e-10:
+        if abs(np.linalg.norm(pts[a] - pts[b]) - length) > LENGTH_TOL:
             raise DomainError(f"{a}-{b} is not of length {length}")
     cells = [(ConvexPolygon(np.array([pts[n] for n in names]) + np.asarray(shift)), color)
              for color, names, shift in CELLS2]

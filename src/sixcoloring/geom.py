@@ -137,25 +137,6 @@ def _cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def _segments_min_distance(e1: np.ndarray, e2: np.ndarray) -> float:
-    """Min distance over all pairs of segments; e1 (n,2,2), e2 (m,2,2)."""
-    a0 = e1[:, None, 0, :]
-    a1 = e1[:, None, 1, :]
-    b0 = e2[None, :, 0, :]
-    b1 = e2[None, :, 1, :]
-    cands = np.minimum.reduce([
-        _point_segment_distance(a0, b0, b1),
-        _point_segment_distance(a1, b0, b1),
-        _point_segment_distance(b0, a0, a1),
-        _point_segment_distance(b1, a0, a1),
-    ])
-    # proper crossings realize distance 0
-    d1 = _cross2(a1 - a0, b0 - a0) * _cross2(a1 - a0, b1 - a0)
-    d2 = _cross2(b1 - b0, a0 - b0) * _cross2(b1 - b0, a1 - b0)
-    crossing = (d1 < 0) & (d2 < 0)
-    return 0.0 if bool(crossing.any()) else float(cands.min())
-
-
 def edge_distances(pts: np.ndarray, p: ConvexPolygon) -> np.ndarray:
     """Signed distances (n, E) from points (n, 2) to the lines through p's
     edges: positive on the inner side, so a point is in p iff all are >= 0."""
@@ -169,7 +150,17 @@ def polygon_min_distance(p: ConvexPolygon, q: ConvexPolygon) -> float:
     if (edge_distances(q.vertices[:1], p) >= 0).all() or (
             edge_distances(p.vertices[:1], q) >= 0).all():
         return 0.0
-    return _segments_min_distance(p.edges, q.edges)
+    # otherwise the boundaries realize it: 0 where two edges cross properly,
+    # else the least distance from an edge end to an edge of the other polygon
+    a0, a1 = p.vertices[:, None], np.roll(p.vertices, -1, axis=0)[:, None]
+    b0, b1 = q.vertices[None], np.roll(q.vertices, -1, axis=0)[None]
+    d1 = _cross2(a1 - a0, b0 - a0) * _cross2(a1 - a0, b1 - a0)
+    d2 = _cross2(b1 - b0, a0 - b0) * _cross2(b1 - b0, a1 - b0)
+    if ((d1 < 0) & (d2 < 0)).any():
+        return 0.0
+    # each edge's end is the next one's start, so the starts are all the ends
+    return float(np.minimum(_point_segment_distance(a0, b0, b1),
+                            _point_segment_distance(b0, a0, a1)).min())
 
 
 def convex_intersection_area(p: ConvexPolygon, q: ConvexPolygon) -> float:

@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .tiling import Tiling
 
 # the pastel palette used throughout the figures
@@ -31,6 +29,12 @@ class Overlay:
 
     center: tuple
     radii: tuple  # of (radius, dasharray)
+
+    def __post_init__(self):
+        if not all(math.isfinite(x) for x in self.center):
+            raise ValueError("overlay center must be finite")
+        if not all(math.isfinite(r) and r > 0 for r, _ in self.radii):
+            raise ValueError("overlay radii must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -67,35 +71,20 @@ def render_svg(tiling: Tiling, spec: RenderSpec) -> str:
     def to_px(pt):
         return (pt[0] - x0) * s, (y1 - pt[1]) * s  # flip y: SVG grows downward
 
-    # lattice offsets whose translated block can reach the viewport
-    all_v = np.vstack([p.vertices for p, _ in tiling.cells])
-    bmin, bmax = all_v.min(axis=0), all_v.max(axis=0)
-    L = np.column_stack([tiling.v1, tiling.v2])
-    Linv = np.linalg.inv(L)
-    corners = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]], dtype=float)
-    frac = corners @ Linv.T
-    pad = math.ceil(max(np.abs(np.linalg.solve(L, bmax - bmin)))) + 1
-    a_lo, a_hi = math.floor(frac[:, 0].min()) - pad, math.ceil(frac[:, 0].max()) + pad
-    b_lo, b_hi = math.floor(frac[:, 1].min()) - pad, math.ceil(frac[:, 1].max()) + pad
-
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_fmt(width)}" height="{_fmt(height)}" '
         f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
     ]
-    for a in range(a_lo, a_hi + 1):
-        for b in range(b_lo, b_hi + 1):
-            off = a * tiling.v1 + b * tiling.v2
-            for poly, color in tiling.cells:
-                v = poly.vertices + off
-                if (v[:, 0].max() < x0 or v[:, 0].min() > x1
-                        or v[:, 1].max() < y0 or v[:, 1].min() > y1):
-                    continue
-                pts = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in map(to_px, v))
-                fill = spec.palette.get(color, "#CCCCCC")
-                lines.append(f'  <polygon points="{pts}" fill="{fill}" '
-                             f'stroke="#000000" stroke-width="1"/>')
+    cells, offsets_a, offsets_b = tiling.translates_meeting((x0, y0), (x1, y1), 0.0)
+    for a, b, k in sorted(zip(offsets_a.tolist(), offsets_b.tolist(), cells.tolist())):
+        poly, color = tiling.cells[k]
+        v = poly.vertices + (a * tiling.v1 + b * tiling.v2)
+        pts = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in map(to_px, v))
+        fill = spec.palette.get(color, "#CCCCCC")
+        lines.append(f'  <polygon points="{pts}" fill="{fill}" '
+                     f'stroke="#000000" stroke-width="1"/>')
     for ov in spec.overlays:
         cx, cy = to_px(ov.center)
         lines.append(f'  <circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="2" fill="#000000"/>')

@@ -73,6 +73,12 @@ def _lattice_offsets(v1: np.ndarray, v2: np.ndarray, radius: float):
     return a[keep], b[keep], length[keep]
 
 
+def _box_gap(lo, hi, lo2, hi2):
+    """Distances between the boxes [lo, hi] and [lo2, hi2]; 0 where they meet."""
+    gap = np.maximum(0.0, np.maximum(lo2 - hi, lo - hi2))
+    return np.hypot(gap[..., 0], gap[..., 1])
+
+
 @dataclass(frozen=True)
 class ColoringType:
     """Avoided distance per color; color i must not realize distances[i]."""
@@ -96,6 +102,8 @@ class Tiling:
 
     def __init__(self, cells, v1, v2, priority=DEFAULT_PRIORITY):
         self.cells = [(poly, str(color)) for poly, color in cells]
+        self._box_lo = np.array([p.vertices.min(axis=0) for p, _ in self.cells])
+        self._box_hi = np.array([p.vertices.max(axis=0) for p, _ in self.cells])
         self.v1 = np.asarray(v1, dtype=float)
         self.v2 = np.asarray(v2, dtype=float)
         self.priority = tuple(priority)
@@ -125,11 +133,8 @@ class Tiling:
         by offset, and the distance between the bounding box of cell i and
         that of cell j moved by a v1 + b v2.
         """
-        polys = [p for p, _ in self.cells]
-        diams = np.array([polygon_diameter(p) for p in polys])
-        centers = np.array([p.vertices.mean(axis=0) for p in polys])
-        box_lo = np.array([p.vertices.min(axis=0) for p in polys])
-        box_hi = np.array([p.vertices.max(axis=0) for p in polys])
+        diams = np.array([polygon_diameter(p) for p, _ in self.cells])
+        centers = np.array([p.vertices.mean(axis=0) for p, _ in self.cells])
         pi, pj = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
         dc = centers[pi] - centers[pj]
         shift = np.sqrt(np.vecdot(dc, dc))
@@ -138,9 +143,29 @@ class Tiling:
         pair, k = np.nonzero(length[None, :] <= radius[:, None])
         i, j, a, b = pi[pair], pj[pair], a[k], b[k]
         off = a[:, None] * self.v1 + b[:, None] * self.v2
-        gap = np.maximum(0.0, np.maximum(box_lo[j] + off - box_hi[i],
-                                         box_lo[i] - (box_hi[j] + off)))
-        return i, j, a, b, np.hypot(gap[:, 0], gap[:, 1])
+        lo, hi = self._box_lo, self._box_hi
+        return i, j, a, b, _box_gap(lo[i], hi[i], lo[j] + off, hi[j] + off)
+
+    def translates_meeting(self, lo, hi, pad):
+        """Integer arrays cell, a, b of every cell translate whose bounding box
+        comes within `pad` of the box [lo, hi], ordered by cell and offset.
+
+        The offsets come from _lattice_offsets on a disk around the lattice
+        point nearest the box, wide enough for the farthest cell box, so
+        MAX_OFFSETS bounds the query wherever the box lies.
+        """
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        near = np.rint(np.linalg.solve(np.column_stack([self.v1, self.v2]), (lo + hi) / 2))
+        # cell box centres seen from the box centre, moved by near
+        rel = (self._box_lo + self._box_hi - lo - hi) / 2 + near @ np.array([self.v1, self.v2])
+        reach = np.hypot(*rel.T) + np.hypot(*(self._box_hi - self._box_lo).T) / 2
+        a, b, _ = _lattice_offsets(self.v1, self.v2, pad + np.hypot(*(hi - lo)) / 2 + reach.max())
+        a, b = a + int(near[0]), b + int(near[1])
+        off = a[:, None] * self.v1 + b[:, None] * self.v2
+        # moved box corners are the moved vertices' extremes: rounding is monotone
+        gap = _box_gap(lo, hi, self._box_lo[:, None] + off, self._box_hi[:, None] + off)
+        cell, k = np.nonzero(gap <= pad)
+        return cell, a[k], b[k]
 
     def validate(self, eps: float = EPS_GEOM) -> None:
         """Check the partition invariants; raise InvalidTilingError on failure.
@@ -184,29 +209,29 @@ class Tiling:
         # most r * |Linv[k]|
         frac_per_length = np.hypot(Linv[:, 0], Linv[:, 1])
         candidates, listed = [], []
-        for poly, color in self.cells:
-            for a in range(-2, 3):
-                for b in range(-2, 3):
-                    t = poly.translated(a * self.v1 + b * self.v2)
-                    if polygon_min_distance(t, base) > EPS_GEOM:
-                        continue
-                    # the points passing the boundary test (every signed edge
-                    # distance >= -EPS_GEOM) form the polygon grown by EPS_GEOM
-                    # along each edge normal; its corner at a vertex where the
-                    # boundary turns by phi lies EPS_GEOM / cos(phi / 2) out
-                    u = t.edge_vectors / t.edge_lengths[:, None]
-                    cos_turn = (u * np.roll(u, 1, axis=0)).sum(axis=1)
-                    reach = EPS_GEOM * float(np.sqrt(2.0 / (1.0 + cos_turn)).max())
-                    # doubled so that rounding in either coordinate system
-                    # cannot move a touching point outside the listed buckets
-                    margin = 2.0 * reach * frac_per_length
-                    f = t.vertices @ Linv.T
-                    lo = np.clip(np.floor((f.min(axis=0) - margin) * g), 0, g - 1).astype(int)
-                    hi = np.clip(np.floor((f.max(axis=0) + margin) * g), 0, g - 1).astype(int)
-                    buckets = np.zeros((g, g), dtype=bool)
-                    buckets[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1] = True
-                    candidates.append((t, rank[color]))
-                    listed.append(buckets.ravel())
+        for k, a, b in zip(*(x.tolist() for x in self.translates_meeting(
+                corners.min(axis=0), corners.max(axis=0), EPS_GEOM))):
+            poly, color = self.cells[k]
+            t = poly.translated(a * self.v1 + b * self.v2)
+            if polygon_min_distance(t, base) > EPS_GEOM:
+                continue
+            # the points passing the boundary test (every signed edge distance
+            # >= -EPS_GEOM) form the polygon grown by EPS_GEOM along each edge
+            # normal; its corner where the boundary turns by phi lies
+            # EPS_GEOM / cos(phi / 2) out
+            u = t.edge_vectors / t.edge_lengths[:, None]
+            cos_turn = (u * np.roll(u, 1, axis=0)).sum(axis=1)
+            reach = EPS_GEOM * float(np.sqrt(2.0 / (1.0 + cos_turn)).max())
+            # doubled so that rounding in either coordinate system
+            # cannot move a touching point outside the listed buckets
+            margin = 2.0 * reach * frac_per_length
+            f = t.vertices @ Linv.T
+            lo = np.clip(np.floor((f.min(axis=0) - margin) * g), 0, g - 1).astype(int)
+            hi = np.clip(np.floor((f.max(axis=0) + margin) * g), 0, g - 1).astype(int)
+            buckets = np.zeros((g, g), dtype=bool)
+            buckets[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1] = True
+            candidates.append((t, rank[color]))
+            listed.append(buckets.ravel())
         self._locator = (L, Linv, candidates, listed)
         return self._locator
 

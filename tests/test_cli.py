@@ -1,14 +1,21 @@
 """Tests for the command-line interface and SVG rendering."""
 
+import math
+import os
+import resource
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sixcoloring import coloring_one
-from sixcoloring.cli import EXIT_ERROR, EXIT_INVALID, EXIT_VALID, main
+from sixcoloring.cli import EXIT_ERROR, EXIT_INVALID, EXIT_VALID, _build_tiling, main
 from sixcoloring.coloring_two import constants
-from sixcoloring.render import RenderSpec
+from sixcoloring.render import Overlay, RenderSpec, _fmt, render_svg
 from sixcoloring.tiling import Tiling
 
 
@@ -79,6 +86,13 @@ class TestBadInput:
                            "--out", str(svg)], capsys)
         assert "argument --viewport: must be four finite numbers" in err
         assert not svg.exists()
+
+    @pytest.mark.parametrize("flag", ["--x", "--y"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_probe_point_not_finite(self, capsys, flag, value):
+        point = {"--x": "--x=0", "--y": "--y=0", flag: f"{flag}={value}"}
+        err = usage_error(["probe", "--coloring", "2", "--d", "0.5", *point.values()], capsys)
+        assert f"argument {flag}: must be finite" in err
 
     def test_not_a_number(self, capsys):
         err = usage_error(["verify", "--coloring", "2", "--d", "half"], capsys)
@@ -218,9 +232,93 @@ class TestRender:
         assert str(out) in capsys.readouterr().err
 
     def test_bad_overlay(self, tmp_path):
-        assert run(["render", "--coloring", "1", "--d", "0.45",
-                    "--viewport", "0,0,1,1", "--overlay", "0.5",
-                    "--out", str(tmp_path / "f.svg")]) == EXIT_ERROR
+        # too few numbers, a non-finite centre, non-finite or non-positive radii
+        for overlay in ("0.5", "nan,0", "0,0,-1", "0,0,inf", "0,0,0"):
+            out = tmp_path / "f.svg"
+            assert run(["render", "--coloring", "1", "--d", "0.45",
+                        "--viewport", "0,0,1,1", "--overlay", overlay,
+                        "--out", str(out)]) == EXIT_ERROR
+            assert not out.exists()
+
+    @pytest.mark.parametrize("coloring", [1, 2])
+    @pytest.mark.parametrize("viewport", [(-2, -2, 3, 3), (1000, 1000, 1001, 1001),
+                                          (-1e4, 0, -9998, 2)])
+    def test_matches_rectangle_loop(self, coloring, viewport):
+        t = _build_tiling(coloring, 0.45)
+        spec = RenderSpec(viewport=tuple(map(float, viewport)),
+                          overlays=(Overlay(center=(0.5, 0.5), radii=((1.0, "8,4"),)),))
+        assert render_svg(t, spec) == rectangle_loop_svg(t, spec)
+
+    def test_huge_viewport_rejected_quickly(self, tmp_path):
+        # far more translates than MAX_OFFSETS meet this viewport; it must be
+        # refused before any is listed
+        out = tmp_path / "f.svg"
+        limit = 1_500_000_000
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from sixcoloring.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "render", "--coloring", "2", "--d", "0.5",
+             "--viewport=0,0,1e7,1e7", "--out", str(out)],
+            env=env, preexec_fn=cap_memory, capture_output=True, text=True, timeout=20)
+        assert time.perf_counter() - start < 5
+        assert proc.returncode == EXIT_ERROR, proc.stderr
+        assert "too large" in proc.stderr
+        assert not out.exists()
+
+
+def rectangle_loop_svg(tiling, spec):
+    """Reference renderer: every offset in a rectangle of fractional lattice
+    coordinates around the viewport, each cell drawn where its moved vertices
+    meet the viewport, in (a, b, cell) order."""
+    x0, y0, x1, y1 = spec.viewport
+    s = spec.scale
+    width, height = (x1 - x0) * s, (y1 - y0) * s
+
+    def to_px(pt):
+        return (pt[0] - x0) * s, (y1 - pt[1]) * s
+
+    all_v = np.vstack([p.vertices for p, _ in tiling.cells])
+    bmin, bmax = all_v.min(axis=0), all_v.max(axis=0)
+    L = np.column_stack([tiling.v1, tiling.v2])
+    corners = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]], dtype=float)
+    frac = corners @ np.linalg.inv(L).T
+    pad = math.ceil(max(np.abs(np.linalg.solve(L, bmax - bmin)))) + 1
+    a_lo, a_hi = math.floor(frac[:, 0].min()) - pad, math.ceil(frac[:, 0].max()) + pad
+    b_lo, b_hi = math.floor(frac[:, 1].min()) - pad, math.ceil(frac[:, 1].max()) + pad
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{_fmt(width)}" height="{_fmt(height)}" '
+        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
+    ]
+    for a in range(a_lo, a_hi + 1):
+        for b in range(b_lo, b_hi + 1):
+            off = a * tiling.v1 + b * tiling.v2
+            for poly, color in tiling.cells:
+                v = poly.vertices + off
+                if (v[:, 0].max() < x0 or v[:, 0].min() > x1
+                        or v[:, 1].max() < y0 or v[:, 1].min() > y1):
+                    continue
+                pts = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in map(to_px, v))
+                fill = spec.palette.get(color, "#CCCCCC")
+                lines.append(f'  <polygon points="{pts}" fill="{fill}" '
+                             f'stroke="#000000" stroke-width="1"/>')
+    for ov in spec.overlays:
+        cx, cy = to_px(ov.center)
+        lines.append(f'  <circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="2" fill="#000000"/>')
+        for radius, dash in ov.radii:
+            lines.append(f'  <circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
+                         f'r="{_fmt(radius * s)}" fill="none" stroke="#000000" '
+                         f'stroke-width="1" stroke-dasharray="{dash}"/>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
 
 
 class TestProbe:

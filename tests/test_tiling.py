@@ -120,6 +120,44 @@ class TestLatticeOffsets:
         assert time.perf_counter() - t0 < 5
 
 
+class TestTranslatesMeeting:
+    @staticmethod
+    def square_loop(t, lo, hi, pad, bound=6):
+        """(cell, a, b) of every translate with |a - a_c|, |b - b_c| <= bound
+        around the box centre's lattice coordinates (a_c, b_c) whose moved
+        vertices' box comes within pad of [lo, hi]."""
+        ac, bc = np.rint(np.linalg.solve(np.column_stack([t.v1, t.v2]), (lo + hi) / 2))
+        found = []
+        for k, (p, _) in enumerate(t.cells):
+            for a in range(int(ac) - bound, int(ac) + bound + 1):
+                for b in range(int(bc) - bound, int(bc) + bound + 1):
+                    v = p.vertices + (a * t.v1 + b * t.v2)
+                    gap = np.maximum(0.0, np.maximum(v.min(axis=0) - hi, lo - v.max(axis=0)))
+                    if np.hypot(*gap) <= pad:
+                        found.append((k, a, b))
+        return found
+
+    def test_matches_square_loop(self):
+        # boxes of up to 3 x 3 anywhere in a 200 x 200 square, near and apart
+        rng = np.random.default_rng(23)
+        tilings = [assemble_block(Params1(0.45, 120.0)), assemble_block2(constants()),
+                   far_overlap_tiling()]
+        for t in tilings:
+            for pad in (0.0, 1e-9, 0.4):
+                for _ in range(6):
+                    lo = rng.uniform(-100, 100, 2)
+                    hi = lo + rng.uniform(0, 3, 2)
+                    cell, a, b = t.translates_meeting(lo, hi, pad)
+                    assert list(zip(cell.tolist(), a.tolist(), b.tolist())) == \
+                        self.square_loop(t, lo, hi, pad)
+                    assert len(cell) > 0 or t is tilings[-1]  # its cells leave gaps
+
+    def test_huge_box_rejected(self):
+        t2 = assemble_block2(constants())
+        with pytest.raises(RangeError, match="too large"):
+            t2.translates_meeting((0.0, 0.0), (1e7, 1e7), 0.0)
+
+
 class TestCellColors:
     def test_unknown_color_rejected_on_load(self):
         doc = json.loads(far_overlap_tiling().to_json())

@@ -23,10 +23,10 @@ def square_lattice_tiling(side=1.0):
     return Tiling([(sq, "red")], (side, 0.0), (0.0, side))
 
 
-def brute_force_color_at_many(t, pts):
+def brute_force_color_at_many(t, pts, reach=2):
     """Reference locator: every point is tested against every cell translate
-    touching the base lattice parallelogram, with the signed-distance
-    expression of Tiling.rank_at_many."""
+    with |a|, |b| <= reach touching the base lattice parallelogram, with the
+    signed-distance expression of Tiling.rank_at_many."""
     L = np.column_stack([t.v1, t.v2])
     base_cell = ConvexPolygon(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float) @ L.T)
     frac = pts @ np.linalg.inv(L).T
@@ -37,8 +37,8 @@ def brute_force_color_at_many(t, pts):
     boundary_rank = np.full(len(base), nc)
     for poly, color in t.cells:
         r = t.priority.index(color)
-        for a in range(-2, 3):
-            for b in range(-2, 3):
+        for a in range(-reach, reach + 1):
+            for b in range(-reach, reach + 1):
                 q = poly.translated(a * t.v1 + b * t.v2)
                 if polygon_min_distance(q, base_cell) > EPS_GEOM:
                     continue
@@ -222,6 +222,27 @@ class TestColorAt:
         assert (colors == ref_colors).all()
         assert (interior == ref_interior).all()
         assert not interior[-len(special):].all()  # boundary cases were hit
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_cell_moved_by_lattice_vectors(self, k):
+        # moving a cell by k (v1 + v2) leaves the coloring of the plane as it
+        # was, so the locator must find the moved cell's translates wherever
+        # they lie
+        t = assemble_block2(constants())
+        cells = list(t.cells)
+        cells[0] = (cells[0][0].translated(k * (t.v1 + t.v2)), cells[0][1])
+        moved = Tiling(cells, t.v1, t.v2, t.priority)
+        moved.validate()
+        for d in (0.55, 0.3):
+            ct = ColoringType.unit_except(red=d)
+            assert verify(moved, ct).verdict == verify(t, ct).verdict
+            assert monte_carlo_check(moved, ct, 20_000, seed=4) == monte_carlo_check(
+                t, ct, 20_000, seed=4)
+        pts = np.random.default_rng(9).uniform(-3, 3, (5_000, 2))
+        colors, interior = moved.color_at_many(pts)
+        ref_colors, ref_interior = brute_force_color_at_many(moved, pts, reach=k + 2)
+        assert (colors == ref_colors).all()
+        assert (interior == ref_interior).all()
 
     def test_non_finite_point_not_covered(self):
         t = assemble_block2(constants())
