@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .tiling import Tiling
 
 # the pastel palette used throughout the figures
@@ -58,39 +60,49 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}".rstrip("0").rstrip(".")
 
 
-def render_svg(tiling: Tiling, spec: RenderSpec) -> str:
-    """Render the tiling clipped to the viewport as an SVG 1.1 document.
+def svg_lines(tiling: Tiling, spec: RenderSpec):
+    """The lines of the SVG 1.1 document of the tiling clipped to the
+    viewport, each ending in a newline, as an iterator.
 
     Element order is stable (lattice offset, then cell index) so repeated
-    renders are byte-identical.
+    renders are byte-identical. The translates are listed before this
+    returns, so a viewport too large raises RangeError before any line is
+    made.
     """
     x0, y0, x1, y1 = spec.viewport
     s = spec.scale
     width, height = (x1 - x0) * s, (y1 - y0) * s
+    cells, offsets_a, offsets_b = tiling.translates_meeting((x0, y0), (x1, y1), 0.0)
+    order = np.lexsort((cells, offsets_b, offsets_a))
+    cells, offsets_a, offsets_b = cells[order], offsets_a[order], offsets_b[order]
 
     def to_px(pt):
         return (pt[0] - x0) * s, (y1 - pt[1]) * s  # flip y: SVG grows downward
 
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(width)}" height="{_fmt(height)}" '
-        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
-    ]
-    cells, offsets_a, offsets_b = tiling.translates_meeting((x0, y0), (x1, y1), 0.0)
-    for a, b, k in sorted(zip(offsets_a.tolist(), offsets_b.tolist(), cells.tolist())):
-        poly, color = tiling.cells[k]
-        v = poly.vertices + (a * tiling.v1 + b * tiling.v2)
-        pts = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in map(to_px, v))
-        fill = spec.palette.get(color, "#CCCCCC")
-        lines.append(f'  <polygon points="{pts}" fill="{fill}" '
-                     f'stroke="#000000" stroke-width="1"/>')
-    for ov in spec.overlays:
-        cx, cy = to_px(ov.center)
-        lines.append(f'  <circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="2" fill="#000000"/>')
-        for radius, dash in ov.radii:
-            lines.append(f'  <circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-                         f'r="{_fmt(radius * s)}" fill="none" stroke="#000000" '
-                         f'stroke-width="1" stroke-dasharray="{dash}"/>')
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    def lines():
+        yield '<?xml version="1.0" encoding="UTF-8"?>\n'
+        yield (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+               f'width="{_fmt(width)}" height="{_fmt(height)}" '
+               f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n')
+        for k, a, b in zip(cells, offsets_a, offsets_b):
+            poly, color = tiling.cells[k]
+            v = poly.vertices + (a * tiling.v1 + b * tiling.v2)
+            pts = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in map(to_px, v))
+            fill = spec.palette.get(color, "#CCCCCC")
+            yield (f'  <polygon points="{pts}" fill="{fill}" '
+                   f'stroke="#000000" stroke-width="1"/>\n')
+        for ov in spec.overlays:
+            cx, cy = to_px(ov.center)
+            yield f'  <circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="2" fill="#000000"/>\n'
+            for radius, dash in ov.radii:
+                yield (f'  <circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
+                       f'r="{_fmt(radius * s)}" fill="none" stroke="#000000" '
+                       f'stroke-width="1" stroke-dasharray="{dash}"/>\n')
+        yield "</svg>\n"
+
+    return lines()
+
+
+def render_svg(tiling: Tiling, spec: RenderSpec) -> str:
+    """The whole document of svg_lines as one string."""
+    return "".join(svg_lines(tiling, spec))

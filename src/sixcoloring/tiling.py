@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,6 +98,16 @@ class ColoringType:
             raise ValueError("avoided distances must be finite and positive")
 
 
+class _Locator(NamedTuple):
+    """Tiling._build_locator's tables."""
+
+    L: np.ndarray             # lattice vectors as columns
+    Linv: np.ndarray
+    candidates: list          # (translate, rank) of each listed translate
+    listed: list              # per candidate, a bool mask over the buckets
+    bucket_rank: np.ndarray   # rank of each resolved bucket, else len(priority)
+
+
 class Tiling:
     """Colored polygons of one fundamental block plus two lattice vectors."""
 
@@ -162,9 +173,12 @@ class Tiling:
         a, b, _ = _lattice_offsets(self.v1, self.v2, pad + np.hypot(*(hi - lo)) / 2 + reach.max())
         a, b = a + int(near[0]), b + int(near[1])
         off = a[:, None] * self.v1 + b[:, None] * self.v2
-        # moved box corners are the moved vertices' extremes: rounding is monotone
-        gap = _box_gap(lo, hi, self._box_lo[:, None] + off, self._box_hi[:, None] + off)
-        cell, k = np.nonzero(gap <= pad)
+        # moved box corners are the moved vertices' extremes: rounding is
+        # monotone; one cell at a time keeps the temporaries to one per offset
+        k = [np.flatnonzero(_box_gap(lo, hi, box_lo + off, box_hi + off) <= pad)
+             for box_lo, box_hi in zip(self._box_lo, self._box_hi)]
+        cell = np.repeat(np.arange(len(k)), [len(x) for x in k])
+        k = np.concatenate(k)
         return cell, a[k], b[k]
 
     def validate(self, eps: float = EPS_GEOM) -> None:
@@ -191,13 +205,21 @@ class Tiling:
     # --- point coloring -------------------------------------------------
 
     def _build_locator(self):
-        """Cell translates covering the base lattice parallelogram, bucketed.
+        """Cell translates covering the base lattice parallelogram, bucketed,
+        and the rank of every bucket that one cell holds whole.
 
         Each translate is kept as a polygon with its priority rank. It is
         listed in every bucket of a LOCATE_GRID x LOCATE_GRID grid over
         fractional lattice coordinates that its fractional bounding box meets
         once widened by the reach of the EPS_GEOM boundary test, so a bucket
         lists every translate that can contain or touch a point in it.
+
+        A listed translate is inside a bucket when all four of the bucket's
+        corners lie more than 2 EPS_GEOM inside it, and outside when one of
+        its edges has all four corners more than 2 EPS_GEOM beyond it. A
+        bucket is resolved when every translate it lists is inside or
+        outside and at least one is inside; its rank is then the least rank
+        of the inside ones, and unresolved buckets hold len(priority).
         """
         L = np.column_stack([self.v1, self.v2])
         Linv = np.linalg.inv(L)
@@ -205,9 +227,14 @@ class Tiling:
         base = ConvexPolygon(corners)
         rank = {c: i for i, c in enumerate(self.priority)}
         g = LOCATE_GRID
+        nc = len(self.priority)
         # a Euclidean step of length r moves fractional coordinate k by at
         # most r * |Linv[k]|
         frac_per_length = np.hypot(Linv[:, 0], Linv[:, 1])
+        # the corners of bucket (i, j) are grid points (i + di, j + dj)
+        corner_step = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
+        bucket_rank = np.full(g * g, nc, dtype=np.intp)
+        mixed = np.zeros(g * g, dtype=bool)
         candidates, listed = [], []
         for k, a, b in zip(*(x.tolist() for x in self.translates_meeting(
                 corners.min(axis=0), corners.max(axis=0), EPS_GEOM))):
@@ -230,9 +257,21 @@ class Tiling:
             hi = np.clip(np.floor((f.max(axis=0) + margin) * g), 0, g - 1).astype(int)
             buckets = np.zeros((g, g), dtype=bool)
             buckets[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1] = True
-            candidates.append((t, rank[color]))
+            r = rank[color]
+            candidates.append((t, r))
             listed.append(buckets.ravel())
-        self._locator = (L, Linv, candidates, listed)
+            # signed edge distances at the corners of the listed buckets,
+            # shape (bucket, corner, edge)
+            ij = np.argwhere(buckets)
+            grid_pts = (ij[:, None, :] + corner_step).reshape(-1, 2) / g
+            dist = edge_distances(grid_pts @ L.T, t).reshape(len(ij), 4, -1)
+            inside = (dist > 2 * EPS_GEOM).all(axis=(1, 2))
+            outside = (dist < -2 * EPS_GEOM).all(axis=1).any(axis=1)
+            idx = ij[:, 0] * g + ij[:, 1]
+            mixed[idx[~inside & ~outside]] = True
+            bucket_rank[idx[inside]] = np.minimum(bucket_rank[idx[inside]], r)
+        bucket_rank[mixed] = nc
+        self._locator = _Locator(L, Linv, candidates, listed, bucket_rank)
         return self._locator
 
     def rank_at_many(self, pts: np.ndarray):
@@ -242,28 +281,44 @@ class Tiling:
         colors and a bool mask marking points strictly interior to their cell
         (by EPS_GEOM). A point inside some cell takes the highest-priority
         color among the cells containing it; a boundary point, among the cells
-        it touches. Points are located LOCATE_CHUNK at a time, each tested
+        it touches.
+
+        A point in a resolved bucket (see _build_locator) takes the bucket's
+        rank and is interior. That is the answer the per-point test gives it:
+        a signed edge distance is affine in the point and a bucket is convex,
+        so over the bucket it lies between its values at the four corners.
+        Every point of the bucket is thus more than 2 EPS_GEOM inside each
+        inside translate, and more than 2 EPS_GEOM beyond an edge of each
+        outside one. The per-point test asks only for EPS_GEOM, and the
+        other EPS_GEOM is far more than the rounding of `frac @ L.T` and of
+        edge_distances: about 1e-15 for cells and lattice vectors of size
+        near 1, growing in proportion to their size. So ranks and masks are
+        the same bits as the per-point test's, overlapping cells included.
+
+        The other points are located LOCATE_CHUNK at a time, each tested
         only against the translates listed in its bucket.
         """
+        pts = np.asarray(pts, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
         if self._locator is None:
             self._build_locator()
-        L, Linv, candidates, listed = self._locator
-        pts = np.asarray(pts, dtype=float)
+        L, Linv, candidates, listed, bucket_rank = self._locator
         frac = pts @ Linv.T
         if not np.isfinite(frac).all():
             raise InvalidTilingError("point not covered by any cell translate")
         frac -= np.floor(frac)
-        base = frac @ L.T
         g = LOCATE_GRID
         ij = np.minimum((frac * g).astype(np.intp), g - 1)
         bucket = ij[:, 0] * g + ij[:, 1]
-        n = len(base)
         nc = len(self.priority)
-        ranks = np.empty(n, dtype=np.intp)
-        interior = np.empty(n, dtype=bool)
-        for start in range(0, n, LOCATE_CHUNK):
-            chunk = slice(start, start + LOCATE_CHUNK)
-            p, bk = base[chunk], bucket[chunk]
+        ranks = bucket_rank[bucket]
+        interior = ranks < nc
+        slow = np.flatnonzero(~interior)
+        base = frac[slow] @ L.T
+        for start in range(0, len(slow), LOCATE_CHUNK):
+            chunk = slow[start:start + LOCATE_CHUNK]
+            p, bk = base[start:start + LOCATE_CHUNK], bucket[chunk]
             interior_rank = np.full(len(p), nc, dtype=np.intp)
             boundary_rank = np.full(len(p), nc, dtype=np.intp)
             for (t, r), in_bucket in zip(candidates, listed):

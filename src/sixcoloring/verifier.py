@@ -9,6 +9,7 @@ distance must not fall inside it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +115,15 @@ def critical_witnesses(t: Tiling, ct: ColoringType) -> list:
     return binding
 
 
+def _check_int(name: str, value, lo, hi, what: str) -> None:
+    """Raise TypeError unless value is an integer and not a bool, and
+    ValueError unless lo <= value < hi, which `what` states."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if not lo <= value < hi:
+        raise ValueError(f"{name} must be {what}, got {value}")
+
+
 def monte_carlo_check(t: Tiling, ct: ColoringType, n: int, seed: int) -> int:
     """Count monochromatic interior point pairs at the avoided distances.
 
@@ -121,8 +131,8 @@ def monte_carlo_check(t: Tiling, ct: ColoringType, n: int, seed: int) -> int:
     direction; the second endpoint lies at the first point's avoided
     distance. Uses the counter-based Philox generator for reproducibility.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_int("n", n, 1, math.inf, ">= 1")
+    _check_int("seed", seed, 0, 2 ** 128, "in [0, 2**128)")  # a Philox key
     rng = np.random.Generator(np.random.Philox(key=seed))
     u = rng.random((n, 2))
     theta = rng.random(n) * (2 * math.pi)

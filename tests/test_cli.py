@@ -249,6 +249,25 @@ class TestRender:
                           overlays=(Overlay(center=(0.5, 0.5), radii=((1.0, "8,4"),)),))
         assert render_svg(t, spec) == rectangle_loop_svg(t, spec)
 
+    def test_document_not_held_in_memory(self, tmp_path, capsys):
+        # about 9,000 polygons in a 1.2 MB document; the lines go to the file
+        # as they are made, so the traced peak is the translate arrays and
+        # the file buffer, not the document
+        out = tmp_path / "fig.svg"
+        _build_tiling(2, 0.5)  # coloring 2's constants are cached from here on
+        tracemalloc.start()
+        try:
+            run(["render", "--coloring", "2", "--d", "0.5", "--viewport=0,0,50,50",
+                 "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = out.stat().st_size
+        assert size > 1_000_000
+        assert peak < size / 2
+        spec = RenderSpec(viewport=(0.0, 0.0, 50.0, 50.0))
+        assert out.read_text() == render_svg(_build_tiling(2, 0.5), spec)
+
     def test_huge_viewport_rejected_quickly(self, tmp_path):
         # far more translates than MAX_OFFSETS meet this viewport; it must be
         # refused before any is listed

@@ -1,5 +1,7 @@
 """Tests for the distance-avoidance verifier and Monte Carlo cross-check."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,32 @@ def brute_force_color_at_many(t, pts, reach=2):
     final = np.where(interior, interior_rank, boundary_rank)
     assert (final < nc).all()
     return np.array([t.priority[r] for r in final], dtype=object), interior
+
+
+def bucket_probes(t):
+    """Every corner and edge midpoint of the point locator's buckets in the
+    base lattice parallelogram, each nudged by 0 or +-EPS_GEOM / 2 per axis."""
+    g = tiling.LOCATE_GRID
+    k = np.arange(2 * g + 1)
+    i, j = (x.ravel() for x in np.meshgrid(k, k, indexing="ij"))
+    keep = (i % 2 == 0) | (j % 2 == 0)  # leave out the bucket centres
+    frac = np.column_stack([i[keep], j[keep]]) / (2 * g)
+    h = EPS_GEOM / 2
+    nudges = np.array([(a, b) for a in (-h, 0, h) for b in (-h, 0, h)])
+    pts = frac @ np.column_stack([t.v1, t.v2]).T
+    return (pts[:, None, :] + nudges[None, :, :]).reshape(-1, 2)
+
+
+def overlapping_tiling():
+    """An unvalidated tiling: an orange cell that tiles the plane alone and,
+    listed after it, a red hexagon lying on it, so the overlap covers whole
+    buckets and has its boundary run through others."""
+    v1, v2 = np.array([1.0, 0.0]), np.array([0.3, 1.0])
+    orange = ConvexPolygon(np.array([[0, 0], v1, v1 + v2, v2]))
+    angles = np.arange(6) * np.pi / 3 + 0.1
+    red = ConvexPolygon(np.column_stack([0.65 + 0.3 * np.cos(angles),
+                                         0.5 + 0.3 * np.sin(angles)]))
+    return Tiling([(orange, "orange"), (red, "red")], v1, v2)
 
 
 class TestColoringType:
@@ -194,10 +222,12 @@ class TestColorAt:
         assert t2.color_at(hex_centroid) == "blue"
 
     @pytest.mark.parametrize("which", ["coloring 1", "coloring 2", "json round-trip",
-                                       "edges on bucket boundaries"])
+                                       "edges on bucket boundaries", "overlapping cells"])
     def test_bucket_locator_matches_brute_force(self, which):
         if which == "coloring 1":
             t = assemble_block(Params1(0.45, default_alpha1(0.45)))
+        elif which == "overlapping cells":
+            t = overlapping_tiling()
         elif which == "edges on bucket boundaries":
             # the shared edge x = 0.5 is a bucket boundary; a point just left
             # of it touches the red cell, whose bounding box starts at it
@@ -209,14 +239,15 @@ class TestColorAt:
             if which == "json round-trip":
                 t = Tiling.from_json(t.to_json())
         # cell vertices and edge midpoints, each nudged by up to EPS_GEOM / 2
-        # per axis, probe the boundary cases of the bucket margins
+        # per axis, probe the boundary cases of the bucket margins; bucket
+        # corners and edge midpoints, those of the resolved buckets
         h = EPS_GEOM / 2
         nudges = np.array([(a, b) for a in (-h, 0, h) for b in (-h, 0, h)])
         special = np.concatenate([np.concatenate([p.vertices, 0.5 * (
             p.vertices + np.roll(p.vertices, -1, axis=0))]) for p, _ in t.cells])
         special = (special[:, None, :] + nudges[None, :, :]).reshape(-1, 2)
         rng = np.random.default_rng(5)
-        pts = np.concatenate([rng.uniform(-3, 3, (20_000, 2)), special])
+        pts = np.concatenate([rng.uniform(-3, 3, (20_000, 2)), bucket_probes(t), special])
         colors, interior = t.color_at_many(pts)
         ref_colors, ref_interior = brute_force_color_at_many(t, pts)
         assert (colors == ref_colors).all()
@@ -243,6 +274,58 @@ class TestColorAt:
         ref_colors, ref_interior = brute_force_color_at_many(moved, pts, reach=k + 2)
         assert (colors == ref_colors).all()
         assert (interior == ref_interior).all()
+
+    def test_overlap_resolved_to_least_rank(self):
+        # whole buckets lie inside both cells; they resolve to red, the
+        # higher priority, although orange is listed first
+        t = overlapping_tiling()
+        bucket_rank = t._build_locator().bucket_rank
+        assert (bucket_rank == t.priority.index("red")).any()
+        assert (bucket_rank == t.priority.index("orange")).any()
+
+    @pytest.mark.parametrize("which", ["coloring 1", "coloring 2"])
+    def test_most_buckets_resolved(self, which):
+        # the point locator's speed rests on this; a bucket classification
+        # that resolves nothing would still give right answers, slowly
+        if which == "coloring 1":
+            t = assemble_block(Params1(0.45, default_alpha1(0.45)))
+        else:
+            t = assemble_block2(constants())
+        bucket_rank = t._build_locator().bucket_rank
+        assert np.mean(bucket_rank < len(t.priority)) >= 0.85
+
+    def test_resolved_buckets_keep_spare_margin(self):
+        # the shared edge lies 1.5 EPS_GEOM right of the bucket column
+        # ending at grid line 40: the per-point test calls those corners
+        # interior to the left cell, but a bucket is resolved only with
+        # EPS_GEOM to spare, so the column is left to the per-point test
+        g = tiling.LOCATE_GRID
+        rot = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+        x = 40 / g + 1.5 * EPS_GEOM
+        left = ConvexPolygon(np.array([[0, 0], [x, 0], [x, 1], [0, 1]]) @ rot.T)
+        right = ConvexPolygon(np.array([[x, 0], [1, 0], [1, 1], [x, 1]]) @ rot.T)
+        t = Tiling([(left, "orange"), (right, "red")], rot[:, 0], rot[:, 1])
+        bucket_rank = t._build_locator().bucket_rank.reshape(g, g)
+        assert (bucket_rank[38, 1:-1] == t.priority.index("orange")).all()
+        assert (bucket_rank[39] == len(t.priority)).all()
+        pts = bucket_probes(t)
+        colors, interior = t.color_at_many(pts)
+        ref_colors, ref_interior = brute_force_color_at_many(t, pts)
+        assert (colors == ref_colors).all()
+        assert (interior == ref_interior).all()
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 3), (4, 1), (2, 2, 2)])
+    def test_points_not_n_by_2(self, shape):
+        t = assemble_block2(constants())
+        with pytest.raises(ValueError, match=rf"shape \(n, 2\), got {re.escape(str(shape))}"):
+            t.color_at_many(np.zeros(shape))
+
+    def test_no_points(self):
+        t = assemble_block2(constants())
+        colors, interior = t.color_at_many(np.empty((0, 2)))
+        assert colors.shape == interior.shape == (0,)
+        ranks, interior = t.rank_at_many(np.empty((0, 2)))
+        assert ranks.shape == interior.shape == (0,)
 
     def test_non_finite_point_not_covered(self):
         t = assemble_block2(constants())
@@ -293,6 +376,29 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_check(assemble_block2(constants()),
                               ColoringType.unit_except(red=0.5), 0, seed=1)
+
+    @pytest.mark.parametrize("n, seed, error, message", [
+        (1000, 1.9, TypeError, "seed must be an int"),
+        (1000, True, TypeError, "seed must be an int"),
+        (1000, "1", TypeError, "seed must be an int"),
+        (1000, -1, ValueError, "seed must be in"),
+        (1000, 2 ** 128, ValueError, "seed must be in"),
+        (True, 1, TypeError, "n must be an int"),
+        (1000.0, 1, TypeError, "n must be an int"),
+        (-5, 1, ValueError, "n must be >= 1"),
+    ])
+    def test_rejects_bad_n_or_seed(self, n, seed, error, message):
+        # a float seed used to run silently as its integer part
+        with pytest.raises(error, match=re.escape(message)):
+            monte_carlo_check(assemble_block2(constants()),
+                              ColoringType.unit_except(red=0.5), n, seed=seed)
+
+    def test_numpy_integers_accepted(self):
+        t = assemble_block2(constants())
+        ct = ColoringType.unit_except(red=0.3)
+        assert monte_carlo_check(t, ct, np.int64(2_000), seed=np.uint64(2 ** 64 - 1)) == (
+            monte_carlo_check(t, ct, 2_000, seed=2 ** 64 - 1))
+        assert monte_carlo_check(t, ct, 2_000, seed=2 ** 128 - 1) > 0
 
 
 class TestSerialization:
