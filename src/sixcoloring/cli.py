@@ -185,7 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "alpha1", None) is not None and args.coloring != 1:
+        parser.error("argument --alpha1: applies to --coloring 1 only")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # DomainError and RangeError are ValueErrors

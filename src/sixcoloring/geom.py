@@ -70,11 +70,6 @@ class ConvexPolygon:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
-    @property
-    def edges(self) -> np.ndarray:
-        """Array of shape (n, 2, 2): edge start/end points."""
-        return np.stack([self.vertices, np.roll(self.vertices, -1, axis=0)], axis=1)
-
     def translated(self, offset) -> "ConvexPolygon":
         """This polygon moved by `offset`. A translation keeps orientation and
         convexity, so the constructor's checks are not run again."""
@@ -111,30 +106,46 @@ def polygon_area(p: ConvexPolygon) -> float:
     return _shoelace(p.vertices)
 
 
+def polygon_distances(p, q):
+    """Minimum and maximum distances between the closed regions p[k] and q[k]
+    for every k at once; the minimum is 0 where they intersect.
+
+    p (k, m, 2) and q (k, m', 2), or arrays broadcasting to those, hold convex
+    polygons counterclockwise, padded by repeating vertex 0. That adds only
+    zero-length edges (edge e runs from vertex e to e + 1), which a
+    ConvexPolygon never has; masked out, they leave every result unchanged.
+    """
+    # coordinates first: numpy reduces a leading axis of length 2 far faster
+    # than a trailing one; axis 2 runs over p's vertices or edges, 3 over q's
+    p, q = p.transpose(2, 0, 1), q.transpose(2, 0, 1)
+    a0, a1 = p[..., None], np.roll(p, -1, axis=2)[..., None]
+    b0, b1 = q[:, :, None], np.roll(q, -1, axis=2)[:, :, None]
+    ea, eb, ab, ba = a1 - a0, b1 - b0, a0 - b0, b0 - a0
+
+    def cross(u, v):
+        return u[0] * v[1] - u[1] * v[0]
+
+    # they intersect if one holds the other's vertex 0 (on the inner side of
+    # every edge; a zero-length edge has every point on it) or two edges
+    # cross properly; otherwise a vertex and an edge of the other realize it
+    meet = ((cross(ea[..., 0], q[:, :, :1] - p) >= 0).all(axis=1)
+            | (cross(eb[:, :, 0], p[:, :, :1] - q) >= 0).all(axis=1)
+            | ((cross(ea, ba) * cross(ea, b1 - a0) < 0)
+               & (cross(eb, ab) * cross(eb, a1 - b0) < 0)).any(axis=(1, 2)))
+    near = []
+    for pts, s0, e, rel in ((a0, b0, eb, ab), (b0, a0, ea, ba)):
+        denom = (e ** 2).sum(axis=0)
+        real = denom > 0
+        t = np.clip((rel * e).sum(axis=0) / np.where(real, denom, 1.0), 0.0, 1.0)
+        r = pts - (s0 + t * e)
+        near.append(np.where(real, np.sqrt((r ** 2).sum(axis=0)), np.inf))
+    return (np.where(meet, 0.0, np.minimum(*near).min(axis=(1, 2))),
+            np.sqrt((ab ** 2).sum(axis=0)).max(axis=(1, 2)))
+
+
 def polygon_max_distance(p: ConvexPolygon, q: ConvexPolygon) -> float:
     """Maximum distance between the closed regions (max over vertex pairs)."""
-    diff = p.vertices[:, None, :] - q.vertices[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(axis=2)).max())
-
-
-def polygon_diameter(p: ConvexPolygon) -> float:
-    return polygon_max_distance(p, p)
-
-
-def _point_segment_distance(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances from points (..., 2) to segments a->b (broadcastable)."""
-    ab = b - a
-    denom = (ab ** 2).sum(axis=-1)
-    denom = np.where(denom == 0, 1.0, denom)
-    t = ((pts - a) * ab).sum(axis=-1) / denom
-    t = np.clip(t, 0.0, 1.0)
-    proj = a + t[..., None] * ab
-    d = pts - proj
-    return np.sqrt((d ** 2).sum(axis=-1))
-
-
-def _cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    return float(polygon_distances(p.vertices[None], q.vertices[None])[1][0])
 
 
 def edge_distances(pts: np.ndarray, p: ConvexPolygon) -> np.ndarray:
@@ -147,20 +158,7 @@ def edge_distances(pts: np.ndarray, p: ConvexPolygon) -> np.ndarray:
 
 def polygon_min_distance(p: ConvexPolygon, q: ConvexPolygon) -> float:
     """Minimum distance between the closed regions; 0 if they intersect."""
-    if (edge_distances(q.vertices[:1], p) >= 0).all() or (
-            edge_distances(p.vertices[:1], q) >= 0).all():
-        return 0.0
-    # otherwise the boundaries realize it: 0 where two edges cross properly,
-    # else the least distance from an edge end to an edge of the other polygon
-    a0, a1 = p.vertices[:, None], np.roll(p.vertices, -1, axis=0)[:, None]
-    b0, b1 = q.vertices[None], np.roll(q.vertices, -1, axis=0)[None]
-    d1 = _cross2(a1 - a0, b0 - a0) * _cross2(a1 - a0, b1 - a0)
-    d2 = _cross2(b1 - b0, a0 - b0) * _cross2(b1 - b0, a1 - b0)
-    if ((d1 < 0) & (d2 < 0)).any():
-        return 0.0
-    # each edge's end is the next one's start, so the starts are all the ends
-    return float(np.minimum(_point_segment_distance(a0, b0, b1),
-                            _point_segment_distance(b0, a0, a1)).min())
+    return float(polygon_distances(p.vertices[None], q.vertices[None])[0][0])
 
 
 def convex_intersection_area(p: ConvexPolygon, q: ConvexPolygon) -> float:

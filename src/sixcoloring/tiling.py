@@ -16,8 +16,7 @@ from .geom import (
     convex_intersection_area,
     edge_distances,
     polygon_area,
-    polygon_diameter,
-    polygon_min_distance,
+    polygon_distances,
 )
 
 COLORS = ("red", "orange", "green", "blue", "yellow", "turquoise")
@@ -113,8 +112,16 @@ class Tiling:
 
     def __init__(self, cells, v1, v2, priority=DEFAULT_PRIORITY):
         self.cells = [(poly, str(color)) for poly, color in cells]
-        self._box_lo = np.array([p.vertices.min(axis=0) for p, _ in self.cells])
-        self._box_hi = np.array([p.vertices.max(axis=0) for p, _ in self.cells])
+        # per-cell data, with the vertices padded as geom.polygon_distances takes them
+        polys = [p.vertices for p, _ in self.cells]
+        m = max(map(len, polys), default=3)
+        pv = np.array([np.vstack([v, v[[0] * (m - len(v))]]) for v in polys]).reshape(-1, m, 2)
+        self.padded_vertices = pv
+        self._box_lo, self._box_hi = pv.min(axis=1), pv.max(axis=1)
+        self._centers = np.array([v.mean(axis=0) for v in polys])
+        self._areas = [polygon_area(p) for p, _ in self.cells]
+        diff = pv[:, :, None] - pv[:, None]
+        self._diams = np.sqrt((diff ** 2).sum(axis=3)).max(axis=(1, 2))
         self.v1 = np.asarray(v1, dtype=float)
         self.v2 = np.asarray(v2, dtype=float)
         self.priority = tuple(priority)
@@ -129,13 +136,13 @@ class Tiling:
         return abs(float(self.v1[0] * self.v2[1] - self.v1[1] * self.v2[0]))
 
     def block_area(self) -> float:
-        return sum(polygon_area(p) for p, _ in self.cells)
+        return sum(self._areas)
 
-    def translate_pairs(self, pairs, pad):
-        """The candidate translate pairs of the cell pairs `pairs`.
+    def translate_pairs(self, pi, pj, pad):
+        """The candidate translate pairs of the cell pairs (pi[k], pj[k]).
 
-        For each (i, j) in `pairs` and the matching entry of `pad` (a scalar
-        or one per pair), every lattice offset (a, b) with
+        For each pair (i, j) of the integer arrays pi, pj and the matching
+        entry of `pad` (a scalar or one per pair), every offset (a, b) with
         |a v1 + b v2| <= pad + diam_i + diam_j + |c_i - c_j|, c being a
         cell's vertex mean: since
         dist(P_i, P_j + off) >= |off| - |c_i - c_j| - diam_i - diam_j, the
@@ -144,12 +151,9 @@ class Tiling:
         by offset, and the distance between the bounding box of cell i and
         that of cell j moved by a v1 + b v2.
         """
-        diams = np.array([polygon_diameter(p) for p, _ in self.cells])
-        centers = np.array([p.vertices.mean(axis=0) for p, _ in self.cells])
-        pi, pj = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-        dc = centers[pi] - centers[pj]
+        dc = self._centers[pi] - self._centers[pj]
         shift = np.sqrt(np.vecdot(dc, dc))
-        radius = np.asarray(pad, dtype=float) + diams[pi] + diams[pj] + shift
+        radius = np.asarray(pad, dtype=float) + self._diams[pi] + self._diams[pj] + shift
         a, b, length = _lattice_offsets(self.v1, self.v2, float(radius.max(initial=0.0)))
         pair, k = np.nonzero(length[None, :] <= radius[:, None])
         i, j, a, b = pi[pair], pj[pair], a[k], b[k]
@@ -190,12 +194,9 @@ class Tiling:
         only where their bounding boxes meet are they clipped.
         """
         if abs(self.block_area() - self.cell_area()) > eps:
-            raise InvalidTilingError(
-                f"block area {self.block_area()} != lattice cell area {self.cell_area()}"
-            )
-        n = len(self.cells)
-        pi, pj, pa, pb, gap = self.translate_pairs(
-            [(i, j) for i in range(n) for j in range(i, n)], 0.0)
+            raise InvalidTilingError(f"block area {self.block_area()} != lattice cell area "
+                                     f"{self.cell_area()}")
+        pi, pj, pa, pb, gap = self.translate_pairs(*np.triu_indices(len(self.cells)), 0.0)
         meet = (gap <= 0.0) & ~((pi == pj) & (pa == 0) & (pb == 0))
         for i, j, a, b in zip(*(x[meet].tolist() for x in (pi, pj, pa, pb))):
             q = self.cells[j][0].translated(a * self.v1 + b * self.v2)
@@ -225,7 +226,6 @@ class Tiling:
         Linv = np.linalg.inv(L)
         corners = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float) @ L.T
         base = ConvexPolygon(corners)
-        rank = {c: i for i, c in enumerate(self.priority)}
         g = LOCATE_GRID
         nc = len(self.priority)
         # a Euclidean step of length r moves fractional coordinate k by at
@@ -236,12 +236,11 @@ class Tiling:
         bucket_rank = np.full(g * g, nc, dtype=np.intp)
         mixed = np.zeros(g * g, dtype=bool)
         candidates, listed = [], []
-        for k, a, b in zip(*(x.tolist() for x in self.translates_meeting(
-                corners.min(axis=0), corners.max(axis=0), EPS_GEOM))):
-            poly, color = self.cells[k]
-            t = poly.translated(a * self.v1 + b * self.v2)
-            if polygon_min_distance(t, base) > EPS_GEOM:
-                continue
+        cell, a, b = self.translates_meeting(corners.min(axis=0), corners.max(axis=0), EPS_GEOM)
+        off = a[:, None] * self.v1 + b[:, None] * self.v2
+        gap, _ = polygon_distances(self.padded_vertices[cell] + off[:, None], base.vertices[None])
+        for k, o in zip(cell[gap <= EPS_GEOM].tolist(), off[gap <= EPS_GEOM]):
+            t, color = self.cells[k][0].translated(o), self.cells[k][1]
             # the points passing the boundary test (every signed edge distance
             # >= -EPS_GEOM) form the polygon grown by EPS_GEOM along each edge
             # normal; its corner where the boundary turns by phi lies
@@ -257,7 +256,7 @@ class Tiling:
             hi = np.clip(np.floor((f.max(axis=0) + margin) * g), 0, g - 1).astype(int)
             buckets = np.zeros((g, g), dtype=bool)
             buckets[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1] = True
-            r = rank[color]
+            r = self.priority.index(color)
             candidates.append((t, r))
             listed.append(buckets.ravel())
             # signed edge distances at the corners of the listed buckets,

@@ -14,8 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import polygon_max_distance, polygon_min_distance
+from .geom import polygon_distances, polygon_max_distance, polygon_min_distance
 from .tiling import ColoringType, Tiling
+
+# polygon_min/max_distance stay names of this module: the benchmark's tracer wraps them here
+__all__ = ["BINDING_TOL", "VIOLATION_TOL", "VerificationReport", "Witness", "critical_witnesses",
+           "monte_carlo_check", "polygon_max_distance", "polygon_min_distance", "verify"]
 
 # a distance counts as violated only if it is inside the interval by more
 # than VIOLATION_TOL; within BINDING_TOL of an endpoint it is "binding"
@@ -46,30 +50,37 @@ class VerificationReport:
         return "valid" if self.valid else "invalid"
 
 
-def _pair_intervals(t: Tiling, ct: ColoringType, reach: float):
-    """Yield (color, d, i, j, offset, interval) for every relevant same-color
-    pair; interval is the realized (min, max) distance, or None when the
-    bounding boxes are more than d + reach apart."""
-    by_color = {}
-    for idx, (_, color) in enumerate(t.cells):
-        by_color.setdefault(color, []).append(idx)
-    pairs = [(i, j) for idxs in by_color.values()
-             for ii, i in enumerate(idxs) for j in idxs[ii:]]
+def _pair_table(t: Tiling, ct: ColoringType, reach: float) -> tuple:
+    """Every relevant same-color translate pair, as arrays color, i, j, a, b,
+    d, mn, mx: cells i and j, the lattice offset (a, b) applied to cell j, the
+    pair's color and avoided distance d, and the realized distance interval
+    [mn, mx] where the bounding boxes are at most d + reach apart; elsewhere
+    mn and mx are NaN, so no comparison with them holds."""
+    colors = np.array([color for _, color in t.cells], dtype=object)
+    dist = np.array([ct.distances[color] for color in colors], dtype=float)
+    pi, pj = np.triu_indices(len(colors))
+    same = colors[pi] == colors[pj]
     # offsets farther than d + diameters + center shift cannot realize d
-    pi, pj, pa, pb, gap = t.translate_pairs(
-        pairs, [ct.distances[t.cells[i][1]] for i, _ in pairs])
+    i, j, a, b, gap = t.translate_pairs(pi[same], pj[same], dist[pi[same]])
     # self-pairs: offsets come in +- pairs, so only the non-negative half
-    keep = (pi != pj) | (pa > 0) | ((pa == 0) & (pb >= 0))
-    for i, j, a, b, g in zip(*(x[keep].tolist() for x in (pi, pj, pa, pb, gap))):
-        color = t.cells[i][1]
-        d = ct.distances[color]
-        if g > d + reach:
-            yield color, d, i, j, (a, b), None
-            continue
-        p, q = t.cells[i][0], t.cells[j][0].translated(a * t.v1 + b * t.v2)
-        mx = polygon_max_distance(p, q)
-        mn = 0.0 if (i == j and (a, b) == (0, 0)) else polygon_min_distance(p, q)
-        yield color, d, i, j, (a, b), (mn, mx)
+    keep = (i != j) | (a > 0) | ((a == 0) & (b >= 0))
+    i, j, a, b, gap = (x[keep] for x in (i, j, a, b, gap))
+    d = dist[i]
+    mn, mx = np.full(len(i), np.nan), np.full(len(i), np.nan)
+    near = gap <= d + reach
+    off = a[near, None] * t.v1 + b[near, None] * t.v2
+    # a cell meets itself at its vertex 0, so its minimum is exactly 0
+    mn[near], mx[near] = polygon_distances(t.padded_vertices[i[near]],
+                                           t.padded_vertices[j[near]] + off[:, None])
+    return colors[i], i, j, a, b, d, mn, mx
+
+
+def _witnesses(table: tuple, ct: ColoringType, mask: np.ndarray) -> list:
+    """The sorted witnesses of the pair table's entries under mask."""
+    rows = zip(*(x[mask].tolist() for x in table))
+    return sorted((Witness(color, (i, j), (a, b), (mn, mx), ct.distances[color])
+                   for color, i, j, a, b, _, mn, mx in rows),
+                  key=lambda w: (w.color, w.pair, w.offset))
 
 
 def verify(t: Tiling, ct: ColoringType, strictness: str = "open",
@@ -84,35 +95,24 @@ def verify(t: Tiling, ct: ColoringType, strictness: str = "open",
         raise ValueError(f"unknown strictness {strictness!r}")
     if validate:
         t.validate()
-    witnesses = []
-    pairs = 0
-    translates = set()
-    for color, d, i, j, offset, interval in _pair_intervals(t, ct, 0.0):
-        pairs += 1
-        translates.add(offset)
-        if interval is None:
-            continue
-        mn, mx = interval
-        if strictness == "open":
-            bad = (d - mn > VIOLATION_TOL) and (mx - d > VIOLATION_TOL)
-        else:
-            bad = (d >= mn - VIOLATION_TOL) and (d <= mx + VIOLATION_TOL)
-        if bad:
-            witnesses.append(Witness(color, (i, j), offset, interval, d))
-    witnesses.sort(key=lambda w: (w.color, w.pair, w.offset))
+    table = _pair_table(t, ct, 0.0)
+    _, _, _, a, b, d, mn, mx = table
+    if strictness == "open":
+        bad = (d - mn > VIOLATION_TOL) & (mx - d > VIOLATION_TOL)
+    else:
+        bad = (d >= mn - VIOLATION_TOL) & (d <= mx + VIOLATION_TOL)
+    witnesses = _witnesses(table, ct, bad)
     return VerificationReport(valid=not witnesses, witnesses=tuple(witnesses),
-                              pairs_checked=pairs,
-                              translates_enumerated=len(translates))
+                              pairs_checked=len(d),
+                              translates_enumerated=len(set(zip(a.tolist(), b.tolist()))))
 
 
 def critical_witnesses(t: Tiling, ct: ColoringType) -> list:
     """Same-color pairs whose realized interval endpoint is within BINDING_TOL
     of the avoided distance: the binding constraints of a valid tiling."""
-    binding = [Witness(color, (i, j), offset, interval, d)
-               for color, d, i, j, offset, interval in _pair_intervals(t, ct, BINDING_TOL)
-               if interval is not None and min(abs(x - d) for x in interval) <= BINDING_TOL]
-    binding.sort(key=lambda w: (w.color, w.pair, w.offset))
-    return binding
+    table = _pair_table(t, ct, BINDING_TOL)
+    _, _, _, _, _, d, mn, mx = table
+    return _witnesses(table, ct, np.minimum(abs(mn - d), abs(mx - d)) <= BINDING_TOL)
 
 
 def _check_int(name: str, value, lo, hi, what: str) -> None:

@@ -35,15 +35,29 @@ SCAN = ["scan", "--d-min", "0.45", "--d-max", "0.45", "--alpha-min", "120",
         "--alpha-max", "120"]
 
 
+def command_args(command, svg):
+    """The arguments a tiling command needs besides --coloring and --d."""
+    return {"verify": [], "render": ["--viewport", "0,0,1,1", "--out", str(svg)],
+            "probe": ["--x", "0", "--y", "0"]}[command]
+
+
 class TestBadInput:
     @pytest.mark.parametrize("command", ["verify", "render", "probe"])
     @pytest.mark.parametrize("d", ["inf", "nan", "1e6", "0", "-0.5", "1"])
     def test_d_outside_open_unit_interval(self, capsys, tmp_path, command, d):
         svg = tmp_path / "f.svg"
-        extra = {"verify": [], "render": ["--viewport", "0,0,1,1", "--out", str(svg)],
-                 "probe": ["--x", "0", "--y", "0"]}[command]
-        err = usage_error([command, "--coloring", "2", "--d", d] + extra, capsys)
+        err = usage_error([command, "--coloring", "2", "--d", d] + command_args(command, svg),
+                          capsys)
         assert "argument --d: must be finite and in (0, 1)" in err
+        assert not svg.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "render", "probe"])
+    def test_alpha1_with_coloring_two(self, capsys, tmp_path, command):
+        # coloring 2 has no alpha1; the flag used to be dropped silently
+        svg = tmp_path / "f.svg"
+        err = usage_error([command, "--coloring", "2", "--d", "0.5", "--alpha1", "3"]
+                          + command_args(command, svg), capsys)
+        assert "argument --alpha1: applies to --coloring 1 only" in err
         assert not svg.exists()
 
     @pytest.mark.parametrize("flag", ["--d-min", "--d-max", "--alpha-min", "--alpha-max"])

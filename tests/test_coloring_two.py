@@ -17,7 +17,7 @@ from sixcoloring.coloring_two import (
     solve_dmax,
 )
 from sixcoloring.errors import DomainError
-from sixcoloring.geom import ConvexPolygon, polygon_diameter
+from sixcoloring.geom import ConvexPolygon, polygon_max_distance
 from sixcoloring.tiling import ColoringType
 from sixcoloring.verifier import verify
 
@@ -25,6 +25,10 @@ from sixcoloring.verifier import verify
 # rows of CELLS2: the blue hexagon, the red pentagon with apex PD, the
 # yellow base-row heptagon and the red square
 HEXAGON, PENTAGON, HEPTAGON, SQUARE = 3, 4, 6, 7
+
+
+def diameter(p):
+    return polygon_max_distance(p, p)
 
 
 def shape(row):
@@ -61,7 +65,7 @@ class TestShapes:
         v = shape(SQUARE).vertices
         assert np.linalg.norm(v[0] - v[2]) == pytest.approx(c.d_min, abs=1e-12)
         assert np.linalg.norm(v[1] - v[3]) == pytest.approx(c.d_min, abs=1e-12)
-        assert polygon_diameter(shape(SQUARE)) == pytest.approx(c.d_min, abs=1e-12)
+        assert diameter(shape(SQUARE)) == pytest.approx(c.d_min, abs=1e-12)
 
     def test_square_center(self):
         v = shape(SQUARE).vertices
@@ -80,7 +84,7 @@ class TestShapes:
         np.testing.assert_allclose(v[:3] + v[3:], np.tile(2 * center, (3, 1)), atol=1e-12)
 
     def test_hexagon_diameter_unit(self):
-        assert polygon_diameter(shape(HEXAGON)) == pytest.approx(1.0, abs=1e-10)
+        assert diameter(shape(HEXAGON)) == pytest.approx(1.0, abs=1e-10)
 
     def test_heptagon_unit_diagonals(self):
         c = constants()
@@ -95,7 +99,7 @@ class TestShapes:
         assert np.linalg.norm(pts["I4"] - pts["I3"]) == pytest.approx(c.d_max, abs=1e-10)
 
     def test_heptagon_diameter_unit(self):
-        assert polygon_diameter(shape(HEPTAGON)) == pytest.approx(1.0, abs=1e-10)
+        assert diameter(shape(HEPTAGON)) == pytest.approx(1.0, abs=1e-10)
 
     def test_shared_side_lengths_consistent(self):
         # the sides the heptagon shares with its translated neighbors must
@@ -120,7 +124,7 @@ class TestShapes:
 
     def test_pentagon_diameter_at_most_dmax(self):
         c = constants()
-        assert polygon_diameter(shape(PENTAGON)) <= c.d_max + 1e-10
+        assert diameter(shape(PENTAGON)) <= c.d_max + 1e-10
 
 
 class TestBlock:

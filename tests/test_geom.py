@@ -13,7 +13,6 @@ from sixcoloring.geom import (
     convex_intersection_area,
     edge_distances,
     polygon_area,
-    polygon_diameter,
     polygon_max_distance,
     polygon_min_distance,
 )
@@ -37,7 +36,7 @@ def random_convex_polygon(rng, n=5):
 
 def sample_boundary(p, per_edge=2000):
     ts = np.linspace(0, 1, per_edge, endpoint=False)[:, None]
-    segs = [v0 + ts * (v1 - v0) for v0, v1 in p.edges]
+    segs = [v0 + ts * e for v0, e in zip(p.vertices, p.edge_vectors)]
     return np.vstack(segs)
 
 
@@ -71,8 +70,8 @@ def brute_force_min_distance(p, q):
     if inside(p.vertices[0], q) or inside(q.vertices[0], p):
         return 0.0
     best = math.inf
-    for a0, a1 in p.edges:
-        for b0, b1 in q.edges:
+    for a0, a1 in zip(p.vertices, np.roll(p.vertices, -1, axis=0)):
+        for b0, b1 in zip(q.vertices, np.roll(q.vertices, -1, axis=0)):
             best = min(best, seg_dist(a0, a1, b0, b1))
     return best
 
@@ -141,7 +140,7 @@ class TestMinDistance:
 
 class TestMaxDistance:
     def test_square_diameter(self):
-        assert polygon_diameter(UNIT_SQUARE) == pytest.approx(math.sqrt(2))
+        assert polygon_max_distance(UNIT_SQUARE, UNIT_SQUARE) == pytest.approx(math.sqrt(2))
 
     def test_translated_square(self):
         assert polygon_max_distance(UNIT_SQUARE, UNIT_SQUARE.translated((3, 0))) == pytest.approx(math.sqrt(17))
@@ -149,7 +148,7 @@ class TestMaxDistance:
     def test_equilateral_triangle_diameter(self):
         s = 0.7
         tri = ConvexPolygon(np.array([[0, 0], [s, 0], [s / 2, s * math.sqrt(3) / 2]]))
-        assert polygon_diameter(tri) == pytest.approx(s)
+        assert polygon_max_distance(tri, tri) == pytest.approx(s)
 
     def test_matches_boundary_sampling(self):
         rng = np.random.default_rng(11)

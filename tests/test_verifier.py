@@ -16,7 +16,15 @@ from sixcoloring.geom import (
     polygon_min_distance,
 )
 from sixcoloring.tiling import ColoringType, Tiling
-from sixcoloring.verifier import VIOLATION_TOL, critical_witnesses, monte_carlo_check, verify
+from sixcoloring.verifier import (
+    BINDING_TOL,
+    VIOLATION_TOL,
+    VerificationReport,
+    Witness,
+    critical_witnesses,
+    monte_carlo_check,
+    verify,
+)
 
 
 def square_lattice_tiling(side=1.0):
@@ -84,6 +92,56 @@ def overlapping_tiling():
     red = ConvexPolygon(np.column_stack([0.65 + 0.3 * np.cos(angles),
                                          0.5 + 0.3 * np.sin(angles)]))
     return Tiling([(orange, "orange"), (red, "red")], v1, v2)
+
+
+def scalar_intervals(t, ct, reach):
+    """(color, d, i, j, offset, interval) of every same-color translate pair
+    that Tiling.translate_pairs lists, from one ConvexPolygon and one scalar
+    distance call per translate; interval is None where the bounding boxes
+    are more than d + reach apart."""
+    by_color = {}
+    for idx, (_, color) in enumerate(t.cells):
+        by_color.setdefault(color, []).append(idx)
+    pairs = np.array([(i, j) for idxs in by_color.values()
+                      for ii, i in enumerate(idxs) for j in idxs[ii:]])
+    pad = [ct.distances[t.cells[i][1]] for i in pairs[:, 0]]
+    candidates = t.translate_pairs(pairs[:, 0], pairs[:, 1], pad)
+    for i, j, a, b, gap in zip(*(x.tolist() for x in candidates)):
+        if i == j and (a, b) < (0, 0):
+            continue  # offsets of a cell to itself come in +- pairs
+        color = t.cells[i][1]
+        d = ct.distances[color]
+        if gap > d + reach:
+            yield color, d, i, j, (a, b), None
+            continue
+        p, q = t.cells[i][0], t.cells[j][0].translated(a * t.v1 + b * t.v2)
+        mn = 0.0 if i == j and a == b == 0 else polygon_min_distance(p, q)
+        yield color, d, i, j, (a, b), (mn, polygon_max_distance(p, q))
+
+
+def per_pair_verify(t, ct, strictness):
+    witnesses, pairs, translates = [], 0, set()
+    for color, d, i, j, offset, interval in scalar_intervals(t, ct, 0.0):
+        pairs += 1
+        translates.add(offset)
+        if interval is None:
+            continue
+        mn, mx = interval
+        if strictness == "open":
+            bad = d - mn > VIOLATION_TOL and mx - d > VIOLATION_TOL
+        else:
+            bad = d >= mn - VIOLATION_TOL and d <= mx + VIOLATION_TOL
+        if bad:
+            witnesses.append(Witness(color, (i, j), offset, interval, d))
+    witnesses.sort(key=lambda w: (w.color, w.pair, w.offset))
+    return VerificationReport(not witnesses, tuple(witnesses), pairs, len(translates))
+
+
+def per_pair_critical_witnesses(t, ct):
+    return sorted((Witness(color, (i, j), offset, interval, d)
+                   for color, d, i, j, offset, interval in scalar_intervals(t, ct, BINDING_TOL)
+                   if interval is not None and min(abs(x - d) for x in interval) <= BINDING_TOL),
+                  key=lambda w: (w.color, w.pair, w.offset))
 
 
 class TestColoringType:
@@ -180,6 +238,29 @@ class TestColorings:
                             mx = polygon_max_distance(p, q)
                             valid &= not (dd - mn > VIOLATION_TOL and mx - dd > VIOLATION_TOL)
             assert verify(t, ct, validate=False).valid == valid, d
+
+
+class TestPairTable:
+    @pytest.mark.parametrize("case", ["coloring 1 valid", "coloring 1 invalid", "d_min",
+                                      "d_max", "0.40", "0.70"])
+    def test_matches_per_pair_loop(self, case):
+        # the batched pair table gives the same bits as one scalar call per pair
+        if case.startswith("coloring 1"):
+            d = 0.45
+            alpha1 = 140.0 if case.endswith("invalid") else default_alpha1(d)
+            t = assemble_block(Params1(d, alpha1))
+        else:
+            c = constants()
+            d = {"d_min": c.d_min, "d_max": c.d_max}.get(case) or float(case)
+            t = assemble_block2(c)
+        ct = ColoringType.unit_except(red=d)
+        reports = {}
+        for strictness in ("open", "closed"):
+            reports[strictness] = verify(t, ct, strictness=strictness)
+            assert reports[strictness] == per_pair_verify(t, ct, strictness)
+        assert critical_witnesses(t, ct) == per_pair_critical_witnesses(t, ct)
+        assert reports["open"].valid == (case not in ("coloring 1 invalid", "0.40", "0.70"))
+        assert not reports["closed"].valid
 
 
 class TestCriticalWitnesses:
