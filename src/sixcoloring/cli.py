@@ -7,7 +7,6 @@ import math
 import sys
 
 from . import coloring_one, coloring_two
-from .errors import DomainError, RangeError
 from .render import DASH_AVOID, DASH_MIN, DASH_UNIT, Overlay, RenderSpec, render_svg, svg_lines
 from .tiling import ColoringType
 from .verifier import verify
@@ -57,16 +56,11 @@ def cmd_scan(args) -> int:
     with open(args.out, "w", newline="") as fh:
         fh.write("d,alpha1,r1,r2,r3,r4,r5,r6,feasible\r\n")
         for d in ds:
-            for a in alphas:
-                try:
-                    r = coloring_one.constraints(coloring_one.Params1(d, a))
-                    feasible = r.satisfied()
-                    res = ",".join(f"{x:.12g}" for x in r.as_tuple())
-                except (DomainError, RangeError):
-                    feasible = False
-                    res = ",".join(["nan"] * 6)
-                fh.write(f"{d:.12g},{a:.12g},{res},{str(feasible).lower()}\r\n")
-                rows += 1
+            residuals, feasible = coloring_one.constraints_along(d, alphas)
+            for a, r, ok in zip(alphas, residuals.tolist(), feasible.tolist()):
+                res = ",".join(f"{x:.12g}" for x in r)
+                fh.write(f"{d:.12g},{a:.12g},{res},{str(ok).lower()}\r\n")
+            rows += len(alphas)
     print(f"wrote {rows} rows to {args.out}")
     return EXIT_VALID
 

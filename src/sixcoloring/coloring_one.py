@@ -7,7 +7,9 @@ colors for d in [0.354, 0.553], given a suitable pentagon apex angle alpha1.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -55,39 +57,12 @@ class Params1:
             raise RangeError(f"alpha1 must be in (0, 180) degrees, got {self.alpha1}")
 
 
-@dataclass(frozen=True)
-class DerivedQuantities1:
-    """Every scalar derived from (d, alpha1); lengths in plane units, angles in degrees."""
-
-    s1: float
-    s2: float
-    s3: float
-    s4: float
-    s5: float
-    t1: float
-    t2: float
-    t3: float
-    t4: float
-    t5: float
-    h1: float
-    h2: float
-    h3: float
-    h4: float
-    h5: float
-    h6: float
-    h7: float
-    w1: float
-    w2: float
-    w3: float
-    alpha2: float
-    alpha3: float
-    alpha4: float
-    alpha5: float
-    alpha6: float
-    alpha7: float
-    alpha8: float
-    c: float
-    H: float
+# Every scalar derived from (d, alpha1); lengths in plane units, angles in
+# degrees. From `derive_quantities` the fields are floats; from the array
+# backend they are arrays over alpha1.
+DerivedQuantities1 = namedtuple("DerivedQuantities1", (
+    "s1 s2 s3 s4 s5 t1 t2 t3 t4 t5 h1 h2 h3 h4 h5 h6 h7 w1 w2 w3 "
+    "alpha2 alpha3 alpha4 alpha5 alpha6 alpha7 alpha8 c H"))
 
 
 @dataclass(frozen=True)
@@ -111,6 +86,14 @@ class ConstraintResiduals:
         return self.minimum() >= -eps
 
 
+# --- the formulas, over a numeric backend --------------------------------
+# FLOATS evaluates one alpha1 with `math` and raises where a formula leaves
+# its domain; `_Arrays` evaluates many with numpy and clears their `ok` flag
+# instead. Both give the same bits (tests/test_coloring_one_backends.py):
+# numpy's sin, cos, sqrt, radians and degrees match `math`, squares go through
+# libm `pow` as Python's `**` does, and acos, asin and atan2 call `math`.
+
+
 def _checked_sqrt(x: float, what: str) -> float:
     if x < 0:
         if x > -DOMAIN_ROUNDOFF:
@@ -126,51 +109,93 @@ def _checked_arc(fn, x: float, what: str) -> float:
     return math.degrees(fn(max(-1.0, min(1.0, x))))
 
 
-def derive_quantities(p: Params1) -> DerivedQuantities1:
-    """Evaluate all derived lengths and angles for the first coloring."""
-    d, a1 = p.d, p.alpha1
-    sin_half = dsin(a1 / 2)
-    if sin_half <= 0:
-        raise DomainError("sin(alpha1/2) must be positive")
+FLOATS = SimpleNamespace(
+    dsin=dsin, dcos=dcos, sqrt=math.sqrt, pow=math.pow, max=max, degrees=math.degrees,
+    acos=math.acos, asin=math.asin, atan2=math.atan2,
+    checked_sqrt=_checked_sqrt, checked_arc=_checked_arc)
+
+
+def _elementwise(fn, nin: int):
+    ufunc = np.frompyfunc(fn, nin, 1)
+    return staticmethod(lambda *xs: ufunc(*xs).astype(float))
+
+
+class _Arrays:
+    """numpy backend; `ok` is False where the float backend would raise."""
+
+    sqrt, pow, max, degrees = np.sqrt, np.float_power, np.maximum, np.degrees
+    acos, asin, atan2 = (_elementwise(math.acos, 1), _elementwise(math.asin, 1),
+                         _elementwise(math.atan2, 2))
+    dsin = staticmethod(lambda a: np.sin(np.radians(a)))
+    dcos = staticmethod(lambda a: np.cos(np.radians(a)))
+
+    def __init__(self, ok: np.ndarray):
+        self.ok = ok
+
+    def checked_sqrt(self, x, what):
+        self.ok &= ~(x <= -DOMAIN_ROUNDOFF)
+        return np.sqrt(np.where(x < 0, 0.0, x))
+
+    def checked_arc(self, fn, x, what):
+        self.ok &= np.abs(x) <= 1.0 + DOMAIN_ROUNDOFF
+        return np.degrees(fn(np.maximum(-1.0, np.minimum(1.0, x))))
+
+
+def _quantities(m, d, a1) -> DerivedQuantities1:
+    """Coloring 1's derived lengths and angles at (d, a1) over backend m.
+
+    A zero divisor (w1 = 0 in t3, or sin(alpha1/2) rounding to 0) raises
+    ZeroDivisionError on floats; on arrays it gives an inf or nan that the
+    next arc check rejects.
+    """
+    sin_half = m.dsin(a1 / 2)
     s1 = d / 2 / sin_half
-    t1 = 2 * _checked_arc(math.acos, (1 / sin_half) / 4, "t1") - a1
-    s3 = 2 * d * dsin(t1 / 2)
-    h1 = d * dcos(t1 / 2)
-    h2 = h1 - (d / 2) * dcos(a1 / 2) / sin_half
-    s2 = math.sqrt(h2 ** 2 + (d - s3) ** 2 / 4)
-    alpha2 = 90 - a1 / 2 + _checked_arc(math.asin, h2 / s2, "alpha2")
+    t1 = 2 * m.checked_arc(m.acos, (1 / sin_half) / 4, "t1") - a1
+    s3 = 2 * d * m.dsin(t1 / 2)
+    h1 = d * m.dcos(t1 / 2)
+    h2 = h1 - (d / 2) * m.dcos(a1 / 2) / sin_half
+    s2 = m.sqrt(m.pow(h2, 2) + m.pow(d - s3, 2) / 4)
+    alpha2 = 90 - a1 / 2 + m.checked_arc(m.asin, h2 / s2, "alpha2")
     alpha3 = 270 - a1 / 2 - alpha2
-    t2 = (_checked_sqrt(1 - (s1 * dsin(30 + a1 / 2)) ** 2, "t2")
-          - s1 * dcos(30 + a1 / 2)) / math.sqrt(3)
-    c = max(t2 - d, 0.0)
+    t2 = (m.checked_sqrt(1 - m.pow(s1 * m.dsin(30 + a1 / 2), 2), "t2")
+          - s1 * m.dcos(30 + a1 / 2)) / math.sqrt(3)
+    c = m.max(t2 - d, 0.0)
     s4 = math.sqrt(3) * c
     h3 = 1.5 * c
     w1 = math.sqrt(3) * t2
-    t3 = 180 - _checked_arc(math.acos, (1 - w1 ** 2 - s1 ** 2) / (-2 * w1 * s1), "t3")
-    w2 = s1 * dcos(t3) + _checked_sqrt(1 - (s1 * dsin(t3)) ** 2, "w2")
-    h4 = _checked_sqrt(1 - (s4 + s3) ** 2 / 4, "h4")
-    h5 = _checked_sqrt(t2 ** 2 - w1 ** 2 / 4, "h5") - h3 + c
-    h6 = _checked_sqrt(s1 ** 2 - (w1 - w2) ** 2 / 4, "h6")
+    t3 = 180 - m.checked_arc(m.acos, (1 - m.pow(w1, 2) - m.pow(s1, 2)) / (-2 * w1 * s1), "t3")
+    w2 = s1 * m.dcos(t3) + m.checked_sqrt(1 - m.pow(s1 * m.dsin(t3), 2), "w2")
+    h4 = m.checked_sqrt(1 - m.pow(s4 + s3, 2) / 4, "h4")
+    h5 = m.checked_sqrt(m.pow(t2, 2) - m.pow(w1, 2) / 4, "h5") - h3 + c
+    h6 = m.checked_sqrt(m.pow(s1, 2) - m.pow(w1 - w2, 2) / 4, "h6")
     h7 = h4 - h5 - h6
-    s5 = math.sqrt(h7 ** 2 + (w2 - s3) ** 2 / 4)
+    s5 = m.sqrt(m.pow(h7, 2) + m.pow(w2 - s3, 2) / 4)
     alpha4 = 180 - a1 / 2
-    alpha5 = math.degrees(math.atan2(2 * h7, w2 - s3)) + t3
+    alpha5 = m.degrees(m.atan2(2 * h7, w2 - s3)) + t3
     alpha6 = 390 - alpha4 - alpha5
     alpha7 = 360 - alpha2 - alpha5
     alpha8 = 240 - alpha7
-    t4 = _checked_sqrt(s2 ** 2 + s5 ** 2 - 2 * s2 * s5 * dcos(alpha7), "t4")
-    t5 = _checked_arc(math.asin, s5 * dsin(alpha7) / t4, "t5")
-    w3 = _checked_sqrt(t4 ** 2 + s2 ** 2 + 2 * t4 * s2 * dcos(alpha7 + alpha8 + t5), "w3")
+    t4 = m.checked_sqrt(m.pow(s2, 2) + m.pow(s5, 2) - 2 * s2 * s5 * m.dcos(alpha7), "t4")
+    t5 = m.checked_arc(m.asin, s5 * m.dsin(alpha7) / t4, "t5")
+    w3 = m.checked_sqrt(m.pow(t4, 2) + m.pow(s2, 2) + 2 * t4 * s2 * m.dcos(alpha7 + alpha8 + t5),
+                        "w3")
     H = h1 + h4 + c / 2 + t2
-    return DerivedQuantities1(
-        s1=s1, s2=s2, s3=s3, s4=s4, s5=s5,
-        t1=t1, t2=t2, t3=t3, t4=t4, t5=t5,
-        h1=h1, h2=h2, h3=h3, h4=h4, h5=h5, h6=h6, h7=h7,
-        w1=w1, w2=w2, w3=w3,
-        alpha2=alpha2, alpha3=alpha3, alpha4=alpha4, alpha5=alpha5,
-        alpha6=alpha6, alpha7=alpha7, alpha8=alpha8,
-        c=c, H=H,
-    )
+    return DerivedQuantities1(s1, s2, s3, s4, s5, t1, t2, t3, t4, t5, h1, h2, h3, h4, h5, h6, h7,
+                              w1, w2, w3, alpha2, alpha3, alpha4, alpha5, alpha6, alpha7, alpha8,
+                              c, H)
+
+
+def _residuals(q: DerivedQuantities1, d) -> tuple:
+    """The six constraint residuals, in ConstraintResiduals order."""
+    return (d - q.s4, q.s5 - d, 1 - q.w1, 1 - q.w2, 1 - q.w3, q.h1 + q.h3 + d - 1)
+
+
+def derive_quantities(p: Params1) -> DerivedQuantities1:
+    """Evaluate all derived lengths and angles for the first coloring."""
+    try:
+        return _quantities(FLOATS, p.d, p.alpha1)
+    except ZeroDivisionError:
+        raise DomainError(f"zero divisor at d={p.d}, alpha1={p.alpha1}") from None
 
 
 def default_alpha1(d: float) -> float:
@@ -182,15 +207,21 @@ def default_alpha1(d: float) -> float:
 
 def constraints(p: Params1) -> ConstraintResiduals:
     """Residuals of the six validity constraints at (d, alpha1)."""
-    q = derive_quantities(p)
-    return ConstraintResiduals(
-        r1=p.d - q.s4,
-        r2=q.s5 - p.d,
-        r3=1 - q.w1,
-        r4=1 - q.w2,
-        r5=1 - q.w3,
-        r6=q.h1 + q.h3 + p.d - 1,
-    )
+    return ConstraintResiduals(*_residuals(derive_quantities(p), p.d))
+
+
+def constraints_along(d: float, alpha1s) -> tuple:
+    """Residuals (n x 6) and feasibility (n bools) at d over n values of alpha1.
+
+    Row k equals `constraints(Params1(d, alpha1s[k])).as_tuple()` bit for bit;
+    where that raises, row k is nan and infeasible.
+    """
+    a1 = np.asarray(alpha1s, dtype=float)
+    m = _Arrays((0.0 < d < 1.0) & (0.0 < a1) & (a1 < 180.0))
+    with np.errstate(all="ignore"):
+        r = np.array(_residuals(_quantities(m, d, a1), d))
+    r[:, ~m.ok] = np.nan
+    return r.T, r.min(axis=0) >= -EPS_GEOM
 
 
 # --- shape builders (local frames) -------------------------------------
@@ -290,9 +321,12 @@ def assemble_block(p: Params1) -> Tiling:
 
 
 def _feasible(d: float, alpha1: float, eps: float = EPS_GEOM) -> bool:
+    """Whether constraints(Params1(d, alpha1)).satisfied(eps), False where either raises."""
+    if not (0.0 < d < 1.0 and 0.0 < alpha1 < 180.0):
+        return False
     try:
-        return constraints(Params1(d, alpha1)).satisfied(eps)
-    except (DomainError, RangeError):
+        return min(_residuals(_quantities(FLOATS, d, alpha1), d)) >= -eps
+    except (DomainError, ZeroDivisionError):
         return False
 
 
@@ -307,10 +341,22 @@ class FeasibilityMap:
         return self.bands.get(d)
 
 
-def _refine_edge(d: float, inside: float, outside: float, iters: int = 50) -> float:
-    """Bisect the feasibility boundary between a feasible and infeasible alpha1."""
+def _refine_edge(d: float, inside: float, step: float, iters: int = 50) -> float:
+    """The feasibility boundary beyond the feasible alpha1 `inside`, toward `step`.
+
+    While inside + step is feasible the band reaches past it, so the bracket
+    moves out there and the step doubles; alpha1 leaving (0, 180) ends this.
+    The bisection stops once the midpoint rounds onto an end, since from
+    then on neither end can move.
+    """
+    outside = inside + step
+    while outside != inside and _feasible(d, outside):
+        inside, step = outside, 2 * step
+        outside = inside + step
     for _ in range(iters):
         mid = 0.5 * (inside + outside)
+        if mid == inside or mid == outside:
+            break
         if _feasible(d, mid):
             inside = mid
         else:
@@ -321,29 +367,22 @@ def _refine_edge(d: float, inside: float, outside: float, iters: int = 50) -> fl
 def feasible_region(d_grid, alpha_grid) -> FeasibilityMap:
     """Scan a (d, alpha1) grid; report per-d feasible alpha1 bands.
 
-    Band edges are refined by bisection, seeded from grid hits and (when d is
-    in the interpolation range) from default_alpha1(d), so bands narrower than
-    the alpha grid step are still found.
+    Each d scores the whole alpha grid in one array pass. Band edges are
+    refined by bisection, seeded from grid hits and (when d is in the
+    interpolation range) from default_alpha1(d), so bands narrower than the
+    alpha grid step are still found.
     """
     d_grid = list(d_grid)
     alpha_grid = list(alpha_grid)
+    step = float(alpha_grid[1] - alpha_grid[0]) if len(alpha_grid) > 1 else 1.0
     records = []
     bands = {}
     for d in d_grid:
-        hits = []
-        for a in alpha_grid:
-            ok = _feasible(d, a)
-            records.append((d, a, ok))
-            if ok:
-                hits.append(a)
-        if not hits and D_LOW <= d <= D_HIGH:
-            seed = default_alpha1(d)
-            if _feasible(d, seed):
-                hits = [seed]
-        if not hits:
-            bands[d] = None
-            continue
-        lo, hi = hits[0], hits[-1]
-        step = alpha_grid[1] - alpha_grid[0] if len(alpha_grid) > 1 else 1.0
-        bands[d] = (_refine_edge(d, lo, lo - step), _refine_edge(d, hi, hi + step))
+        ok = constraints_along(float(d), alpha_grid)[1].tolist()
+        records += [(d, a, f) for a, f in zip(alpha_grid, ok)]
+        hits = [a for a, f in zip(alpha_grid, ok) if f]
+        if not hits and D_LOW <= d <= D_HIGH and _feasible(d, default_alpha1(d)):
+            hits = [default_alpha1(d)]
+        bands[d] = (_refine_edge(float(d), float(hits[0]), -step),
+                    _refine_edge(float(d), float(hits[-1]), step)) if hits else None
     return FeasibilityMap(grid=tuple(records), bands=bands)

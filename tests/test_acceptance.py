@@ -178,6 +178,7 @@ def test_criterion_7_statistical_soundness():
 
 
 def test_criterion_8_feasibility_band():
+    t0 = time.perf_counter()
     d_grid = [round(d, 3) for d in np.arange(D_LOW, D_HIGH + 1e-9, 0.001)]
     fm = feasible_region(d_grid, np.arange(95.0, 165.01, 0.5))
     ok = True
@@ -192,6 +193,7 @@ def test_criterion_8_feasibility_band():
             print(f"  default alpha1 outside band at d={d}: {default_alpha1(d)} "
                   f"not in [{lo}, {hi}]")
             ok = False
+    ok &= (time.perf_counter() - t0) < 30
     report(8, "feasibility-band reproduction", ok)
 
 

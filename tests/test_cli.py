@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sixcoloring import coloring_one
 from sixcoloring.cli import EXIT_ERROR, EXIT_INVALID, EXIT_VALID, _build_tiling, main
 from sixcoloring.coloring_two import constants
 from sixcoloring.render import Overlay, RenderSpec, _fmt, render_svg
@@ -176,10 +175,8 @@ class TestScan:
         run(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_rows_not_held_in_memory(self, tmp_path, monkeypatch, capsys):
+    def test_rows_not_held_in_memory(self, tmp_path, capsys):
         # 10,000 rows of about 110 bytes each; only the file buffer may grow
-        fixed = coloring_one.constraints(coloring_one.Params1(0.45, 120.0))
-        monkeypatch.setattr(coloring_one, "constraints", lambda p: fixed)
         out = tmp_path / "scan.csv"
         tracemalloc.start()
         try:
@@ -191,6 +188,15 @@ class TestScan:
         assert f"wrote 10000 rows to {out}" in capsys.readouterr().out
         assert out.read_bytes().count(b"\r\n") == 10001
         assert peak < 1 << 20
+
+    def test_zero_divisor_row(self, tmp_path, capsys):
+        # t3 divides by w1 = 0 here; the row is a domain failure, not a crash
+        out = tmp_path / "z.csv"
+        assert run(["scan", "--d-min", "0.808432734508", "--d-max", "0.808432734508",
+                    "--alpha-min", "47.68406", "--alpha-max", "47.68406",
+                    "--out", str(out)]) == EXIT_VALID
+        assert out.read_bytes().split(b"\r\n")[1] == (
+            b"0.808432734508,47.68406,nan,nan,nan,nan,nan,nan,false")
 
     def test_empty_grid_header_only(self, tmp_path):
         out = tmp_path / "scan.csv"

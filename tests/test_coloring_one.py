@@ -20,7 +20,7 @@ from sixcoloring.coloring_one import (
     feasible_region,
     _feasible,
 )
-from sixcoloring.errors import RangeError
+from sixcoloring.errors import DomainError, RangeError
 from sixcoloring.geom import polygon_area, polygon_max_distance
 from sixcoloring.tiling import ColoringType
 from sixcoloring.verifier import verify
@@ -161,6 +161,14 @@ class TestConstraints:
         assert r.r5 == pytest.approx(1 - q.w3)
         assert r.r6 == pytest.approx(q.h1 + q.h3 + p.d - 1)
 
+    def test_zero_divisor_is_a_domain_error(self):
+        # w1 = 0 on the curve d = 2 sin(alpha1/2), and t3 divides by w1
+        for d, a in ((0.9998367536161386, 59.9892), (0.808432734508, 47.68406)):
+            with pytest.raises(DomainError, match="zero divisor"):
+                constraints(Params1(d, a))
+            assert not _feasible(d, a)
+            assert feasible_region([d], [a]).band(d) is None
+
 
 class TestBlock:
     def test_partition_area(self):
@@ -207,3 +215,65 @@ class TestFeasibleRegion:
         assert _feasible(0.45, lo) and _feasible(0.45, hi)
         assert not _feasible(0.45, lo - 1e-6)
         assert not _feasible(0.45, hi + 1e-6)
+
+    def test_band_reaching_past_the_grid(self):
+        lo, hi = feasible_region([0.45], [118, 119, 120, 121, 122]).band(0.45)
+        assert lo < 117 and hi > 123
+        assert _feasible(0.45, lo) and _feasible(0.45, hi)
+        assert not _feasible(0.45, lo - 1e-6)
+        assert not _feasible(0.45, hi + 1e-6)
+        fine = feasible_region([0.45], np.arange(95, 165.01, 0.5)).band(0.45)
+        assert (lo, hi) == pytest.approx(fine, abs=1e-9)
+
+    def test_matches_per_point_loop_on_criterion_8_grid(self):
+        d_grid = [round(d, 3) for d in np.arange(D_LOW, D_HIGH + 1e-9, 0.001)][::20]
+        assert_region_matches(d_grid + [0.34, 0.60], list(np.arange(95.0, 165.01, 0.5)))
+
+    def test_matches_per_point_loop_on_irregular_grids(self):
+        rng = np.random.default_rng(8)
+        for _ in range(12):
+            lo = rng.uniform(60, 125)
+            alphas = np.sort(rng.uniform(lo, lo + rng.uniform(0.5, 60), rng.integers(2, 40)))
+            assert_region_matches(rng.uniform(0.30, 0.62, 2).tolist(), alphas.tolist())
+
+
+def per_point_region(d_grid, alpha_grid):
+    """feasible_region as one constraints() call per point: each edge is
+    bracketed by testing inside +- step and doubling the step while that is
+    feasible, then bisected for all 50 steps."""
+    def feasible(d, a):
+        try:
+            return constraints(Params1(d, a)).satisfied()
+        except (DomainError, RangeError):
+            return False
+
+    def edge(d, inside, step):
+        outside = inside + step
+        while outside != inside and feasible(d, outside):
+            inside, step = outside, 2 * step
+            outside = inside + step
+        for _ in range(50):
+            mid = 0.5 * (inside + outside)
+            if feasible(d, mid):
+                inside = mid
+            else:
+                outside = mid
+        return inside
+
+    step = alpha_grid[1] - alpha_grid[0] if len(alpha_grid) > 1 else 1.0
+    records, bands = [], {}
+    for d in d_grid:
+        row = [(d, a, feasible(d, a)) for a in alpha_grid]
+        records += row
+        hits = [a for _, a, ok in row if ok]
+        if not hits and D_LOW <= d <= D_HIGH and feasible(d, default_alpha1(d)):
+            hits = [default_alpha1(d)]
+        bands[d] = (edge(d, hits[0], -step), edge(d, hits[-1], step)) if hits else None
+    return records, bands
+
+
+def assert_region_matches(d_grid, alpha_grid):
+    fm = feasible_region(d_grid, alpha_grid)
+    records, bands = per_point_region(d_grid, alpha_grid)
+    assert list(fm.grid) == records
+    assert fm.bands == bands
