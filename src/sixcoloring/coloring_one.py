@@ -374,7 +374,7 @@ def feasible_region(d_grid, alpha_grid) -> FeasibilityMap:
     """
     d_grid = list(d_grid)
     alpha_grid = list(alpha_grid)
-    step = float(alpha_grid[1] - alpha_grid[0]) if len(alpha_grid) > 1 else 1.0
+    step = abs(float(alpha_grid[1] - alpha_grid[0])) if len(alpha_grid) > 1 else 1.0
     records = []
     bands = {}
     for d in d_grid:
@@ -383,6 +383,7 @@ def feasible_region(d_grid, alpha_grid) -> FeasibilityMap:
         hits = [a for a, f in zip(alpha_grid, ok) if f]
         if not hits and D_LOW <= d <= D_HIGH and _feasible(d, default_alpha1(d)):
             hits = [default_alpha1(d)]
-        bands[d] = (_refine_edge(float(d), float(hits[0]), -step),
-                    _refine_edge(float(d), float(hits[-1]), step)) if hits else None
+        # the grid may run in any order; the band grows out from its extreme hits
+        bands[d] = (_refine_edge(float(d), float(min(hits)), -step),
+                    _refine_edge(float(d), float(max(hits)), step)) if hits else None
     return FeasibilityMap(grid=tuple(records), bands=bands)

@@ -150,10 +150,14 @@ def polygon_max_distance(p: ConvexPolygon, q: ConvexPolygon) -> float:
 
 def edge_distances(pts: np.ndarray, p: ConvexPolygon) -> np.ndarray:
     """Signed distances (n, E) from points (n, 2) to the lines through p's
-    edges: positive on the inner side, so a point is in p iff all are >= 0."""
-    rel = pts[:, None, :] - p.vertices[None, :, :]
-    e = p.edge_vectors
-    return (e[:, 0] * rel[:, :, 1] - e[:, 1] * rel[:, :, 0]) / p.edge_lengths
+    edges: positive on the inner side, so a point is in p iff all are >= 0.
+
+    Evaluated on (E, n) rows, coordinates first, and returned as their
+    transpose: a trailing axis of length 2 would cost an inner loop per point.
+    """
+    x, y = pts.T
+    v, e = p.vertices.T[..., None], p.edge_vectors.T[..., None]
+    return ((e[0] * (y - v[1]) - e[1] * (x - v[0])) / p.edge_lengths[:, None]).T
 
 
 def polygon_min_distance(p: ConvexPolygon, q: ConvexPolygon) -> float:

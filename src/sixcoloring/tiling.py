@@ -289,13 +289,17 @@ class Tiling:
         Every point of the bucket is thus more than 2 EPS_GEOM inside each
         inside translate, and more than 2 EPS_GEOM beyond an edge of each
         outside one. The per-point test asks only for EPS_GEOM, and the
-        other EPS_GEOM is far more than the rounding of `frac @ L.T` and of
-        edge_distances: about 1e-15 for cells and lattice vectors of size
-        near 1, growing in proportion to their size. So ranks and masks are
-        the same bits as the per-point test's, overlapping cells included.
+        other EPS_GEOM is far more than the rounding of the matmuls
+        `frac = Linv @ P` and `L @ frac` and of edge_distances: about 1e-15
+        for cells and lattice vectors of size near 1, growing in proportion
+        to their size. So ranks and masks are the same bits as the per-point
+        test's, overlapping cells included.
 
-        The other points are located LOCATE_CHUNK at a time, each tested
-        only against the translates listed in its bucket.
+        The points travel as (2, n) rows P = pts.T, coordinates first, so
+        each numpy pass runs over n contiguous values instead of n pairs; a
+        caller holding (2, n) rows passes their transpose, and no copy is
+        made. The other points are located LOCATE_CHUNK at a time, each
+        tested only against the translates listed in its bucket.
         """
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
@@ -303,26 +307,26 @@ class Tiling:
         if self._locator is None:
             self._build_locator()
         L, Linv, candidates, listed, bucket_rank = self._locator
-        frac = pts @ Linv.T
+        frac = Linv @ pts.T
         if not np.isfinite(frac).all():
             raise InvalidTilingError("point not covered by any cell translate")
         frac -= np.floor(frac)
         g = LOCATE_GRID
         ij = np.minimum((frac * g).astype(np.intp), g - 1)
-        bucket = ij[:, 0] * g + ij[:, 1]
+        bucket = ij[0] * g + ij[1]
         nc = len(self.priority)
         ranks = bucket_rank[bucket]
         interior = ranks < nc
         slow = np.flatnonzero(~interior)
-        base = frac[slow] @ L.T
+        base = L @ frac[:, slow]
         for start in range(0, len(slow), LOCATE_CHUNK):
             chunk = slow[start:start + LOCATE_CHUNK]
-            p, bk = base[start:start + LOCATE_CHUNK], bucket[chunk]
-            interior_rank = np.full(len(p), nc, dtype=np.intp)
-            boundary_rank = np.full(len(p), nc, dtype=np.intp)
+            p, bk = base[:, start:start + LOCATE_CHUNK], bucket[chunk]
+            interior_rank = np.full(len(chunk), nc, dtype=np.intp)
+            boundary_rank = np.full(len(chunk), nc, dtype=np.intp)
             for (t, r), in_bucket in zip(candidates, listed):
                 sel = np.flatnonzero(in_bucket[bk])
-                mindist = edge_distances(p[sel], t).min(axis=1)
+                mindist = edge_distances(p[:, sel].T, t).min(axis=1)
                 hit = sel[mindist >= -EPS_GEOM]
                 boundary_rank[hit] = np.minimum(boundary_rank[hit], r)
                 inside = sel[mindist > EPS_GEOM]

@@ -50,12 +50,21 @@ class VerificationReport:
         return "valid" if self.valid else "invalid"
 
 
+def _check_colors(t: Tiling, ct: ColoringType) -> None:
+    """Raise ValueError unless ct gives an avoided distance for every color
+    of t's cells."""
+    missing = sorted({color for _, color in t.cells} - ct.distances.keys())
+    if missing:
+        raise ValueError(f"coloring type has no avoided distance for colors {missing}")
+
+
 def _pair_table(t: Tiling, ct: ColoringType, reach: float) -> tuple:
     """Every relevant same-color translate pair, as arrays color, i, j, a, b,
     d, mn, mx: cells i and j, the lattice offset (a, b) applied to cell j, the
     pair's color and avoided distance d, and the realized distance interval
     [mn, mx] where the bounding boxes are at most d + reach apart; elsewhere
     mn and mx are NaN, so no comparison with them holds."""
+    _check_colors(t, ct)
     colors = np.array([color for _, color in t.cells], dtype=object)
     dist = np.array([ct.distances[color] for color in colors], dtype=float)
     pi, pj = np.triu_indices(len(colors))
@@ -133,16 +142,17 @@ def monte_carlo_check(t: Tiling, ct: ColoringType, n: int, seed: int) -> int:
     """
     _check_int("n", n, 1, math.inf, ">= 1")
     _check_int("seed", seed, 0, 2 ** 128, "in [0, 2**128)")  # a Philox key
+    _check_colors(t, ct)
+    # avoided distance by priority rank; only the ranks of cell colors occur
+    dist_of_rank = np.array([ct.distances.get(c, math.nan) for c in t.priority])
     rng = np.random.Generator(np.random.Philox(key=seed))
     u = rng.random((n, 2))
     theta = rng.random(n) * (2 * math.pi)
-    pts = u[:, :1] * t.v1 + u[:, 1:] * t.v2
-    # avoided distance by priority rank; every color a cell uses needs one
-    cell_colors = {c for _, c in t.cells}
-    dist_of_rank = np.array([ct.distances[c] if c in cell_colors else math.nan
-                             for c in t.priority])
-    ranks1, interior1 = t.rank_at_many(pts)
+    # points as (2, n) rows, coordinates first, as rank_at_many works on them
+    p = t.v1[:, None] * u[:, 0] + t.v2[:, None] * u[:, 1]
+    del u
+    ranks1, interior1 = t.rank_at_many(p.T)
     dist = dist_of_rank[ranks1]
-    pts2 = pts + dist[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
-    ranks2, interior2 = t.rank_at_many(pts2)
+    p += dist * np.array([np.cos(theta), np.sin(theta)])
+    ranks2, interior2 = t.rank_at_many(p.T)
     return int(np.count_nonzero((ranks1 == ranks2) & interior1 & interior2))

@@ -225,6 +225,26 @@ class TestFeasibleRegion:
         fine = feasible_region([0.45], np.arange(95, 165.01, 0.5)).band(0.45)
         assert (lo, hi) == pytest.approx(fine, abs=1e-9)
 
+    def test_descending_grid(self):
+        # the band used to come out reversed, as (126.36..., 105.22...)
+        down = feasible_region([0.45], [122, 121, 120])
+        assert down.band(0.45) == feasible_region([0.45], [120, 121, 122]).band(0.45)
+        lo, hi = down.band(0.45)
+        assert lo < 106 < 126 < hi
+        assert [a for _, a, _ in down.grid] == [122, 121, 120]
+
+    def test_shuffled_grid(self):
+        alphas = np.arange(95, 165.01, 0.5)
+        shuffled = np.random.default_rng(3).permutation(alphas).tolist()
+        fm = feasible_region([0.45], shuffled)
+        lo, hi = fm.band(0.45)
+        assert lo < hi
+        assert (lo, hi) == pytest.approx(feasible_region([0.45], alphas).band(0.45), abs=1e-9)
+        assert _feasible(0.45, lo) and _feasible(0.45, hi)
+        assert not _feasible(0.45, lo - 1e-6)
+        assert not _feasible(0.45, hi + 1e-6)
+        assert [a for _, a, _ in fm.grid] == shuffled
+
     def test_matches_per_point_loop_on_criterion_8_grid(self):
         d_grid = [round(d, 3) for d in np.arange(D_LOW, D_HIGH + 1e-9, 0.001)][::20]
         assert_region_matches(d_grid + [0.34, 0.60], list(np.arange(95.0, 165.01, 0.5)))

@@ -150,6 +150,19 @@ class TestColoringType:
         with pytest.raises(ValueError, match="finite and positive"):
             ColoringType.unit_except(red=d)
 
+    @pytest.mark.parametrize("check", [
+        verify,
+        critical_witnesses,
+        lambda t, ct: monte_carlo_check(t, ct, 1_000, seed=1),
+    ])
+    def test_missing_cell_colors_named(self, check):
+        # used to surface as a bare KeyError from deep inside
+        t = assemble_block2(constants())
+        distances = ColoringType.unit_except(red=0.55).distances
+        ct = ColoringType({c: d for c, d in distances.items() if c not in ("orange", "blue")})
+        with pytest.raises(ValueError, match=re.escape("['blue', 'orange']")):
+            check(t, ct)
+
 
 class TestSingleSquare:
     def test_small_avoided_distance_violates(self):
@@ -395,6 +408,29 @@ class TestColorAt:
         assert (colors == ref_colors).all()
         assert (interior == ref_interior).all()
 
+    @pytest.mark.parametrize("which", ["coloring 1", "coloring 2"])
+    def test_input_layout_does_not_matter(self, which):
+        # the locator works on (2, n) rows; every layout of the same points
+        # must reach the same bits
+        if which == "coloring 1":
+            t = assemble_block(Params1(0.45, default_alpha1(0.45)))
+        else:
+            t = assemble_block2(constants())
+        rng = np.random.default_rng(12)
+        pts = np.concatenate([rng.uniform(-3, 3, (50_000, 2)), bucket_probes(t)])
+        want_ranks, want_interior = t.rank_at_many(pts)
+        for layout in (np.asfortranarray(pts), np.ascontiguousarray(pts.T).T,
+                       np.repeat(pts, 2, axis=0)[::2]):
+            ranks, interior = t.rank_at_many(layout)
+            assert (ranks == want_ranks).all()
+            assert (interior == want_interior).all()
+        ints = rng.integers(-3, 4, (2_000, 2))
+        want_ranks, want_interior = t.rank_at_many(ints.astype(float))
+        for layout in (ints, np.asfortranarray(ints), np.ascontiguousarray(ints.T).T):
+            ranks, interior = t.rank_at_many(layout)
+            assert (ranks == want_ranks).all()
+            assert (interior == want_interior).all()
+
     @pytest.mark.parametrize("shape", [(2,), (3, 3), (4, 1), (2, 2, 2)])
     def test_points_not_n_by_2(self, shape):
         t = assemble_block2(constants())
@@ -452,6 +488,39 @@ class TestMonteCarlo:
         monkeypatch.setattr(tiling, "LOCATE_CHUNK", 10 * n)
         large = monte_carlo_check(t, ct, n, seed=11)
         assert small == large > 0
+
+    def test_counts_pinned(self):
+        # exact counts, where criterion 7 asks only for 0 and > 0, so a
+        # change in the sample or in how its points are located shows; the
+        # tilings are criterion 7's, the sabotaged one with coloring 2's
+        # yellow cell recolored green, and two with red distances realized
+        t1 = assemble_block(Params1(0.45, default_alpha1(0.45)))
+        t2 = assemble_block2(constants())
+        cells = list(t2.cells)
+        idx = next(i for i, (_, c) in enumerate(cells) if c == "yellow")
+        cells[idx] = (cells[idx][0], "green")
+        sabotaged = Tiling(cells, t2.v1, t2.v2, t2.priority)
+        for t, red, seed, count in [(t1, 0.45, 1, 0), (t1, 0.45, 42, 0),
+                                    (t2, 0.55, 1, 0), (t2, 0.55, 42, 0),
+                                    (sabotaged, 0.55, 1, 21541), (sabotaged, 0.55, 42, 21478),
+                                    (t1, 0.6, 1, 180), (t2, 0.3, 1, 769)]:
+            ct = ColoringType.unit_except(red=red)
+            assert monte_carlo_check(t, ct, 200_000, seed=seed) == count
+
+    def test_locates_through_rank_at_many(self, monkeypatch):
+        # bench/tracing.py counts located points by wrapping this attribute
+        # and taking len() of the points argument
+        calls = []
+        locate = Tiling.rank_at_many
+
+        def spy(self, pts):
+            calls.append(len(pts))
+            return locate(self, pts)
+
+        monkeypatch.setattr(Tiling, "rank_at_many", spy)
+        monte_carlo_check(assemble_block2(constants()), ColoringType.unit_except(red=0.55),
+                          3_000, seed=1)
+        assert calls == [3_000, 3_000]
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
