@@ -18,6 +18,10 @@ EXIT_VALID = 0
 EXIT_INVALID = 1
 EXIT_ERROR = 2
 
+# the most values one scan axis may hold; a smaller step raises ValueError
+# instead of filling memory or disk
+MAX_AXIS_VALUES = 1 << 20
+
 
 def _build_tiling(coloring: int, d: float, alpha1=None):
     if coloring == 1:
@@ -46,7 +50,11 @@ def _float_range(lo: float, hi: float, step: float):
     steps = (hi - lo) / step
     if not math.isfinite(steps):
         raise ValueError(f"step {step} is too small for the range [{lo}, {hi}]")
-    return (round(lo + k * step, 12) for k in range(int(round(steps)) + 1))
+    count = int(round(steps)) + 1
+    if count > MAX_AXIS_VALUES:
+        raise ValueError(f"step {step} gives {count} values on [{lo}, {hi}], "
+                         f"more than {MAX_AXIS_VALUES}")
+    return (round(lo + k * step, 12) for k in range(count))
 
 
 def cmd_scan(args) -> int:

@@ -2,6 +2,8 @@
 
 The construction avoids distance d in red and unit distance in the other five
 colors for d in [0.354, 0.553], given a suitable pentagon apex angle alpha1.
+Its block is the table CELLS1: each cell is a shape that a build_* function
+gives in its local frame, placed by a rotation, an optional mirror and a shift.
 """
 
 from __future__ import annotations
@@ -14,15 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .geom import (
-    EPS_GEOM,
-    ConvexPolygon,
-    RigidTransform,
-    apply_transform,
-    dcos,
-    dirvec,
-    dsin,
-)
+from .geom import EPS_GEOM, ConvexPolygon, dcos, dirvec, dsin
 from .tiling import DEFAULT_PRIORITY, Tiling
 
 D_LOW = 0.354
@@ -41,6 +35,9 @@ DOMAIN_ROUNDOFF = 1e-12
 # the hexagon's closing side must be s5 within CLOSURE_TOL; its roundoff is
 # below 1e-15 over the (d, alpha1) plane, so this catches a wrong angle only
 CLOSURE_TOL = 1e-6
+
+# the most bisection steps that refine one feasibility band edge
+REFINE_ITERS = 50
 
 
 @dataclass(frozen=True)
@@ -82,8 +79,8 @@ class ConstraintResiduals:
     def minimum(self) -> float:
         return min(self.as_tuple())
 
-    def satisfied(self, eps: float = EPS_GEOM) -> bool:
-        return self.minimum() >= -eps
+    def satisfied(self) -> bool:
+        return self.minimum() >= -EPS_GEOM
 
 
 # --- the formulas, over a numeric backend --------------------------------
@@ -288,44 +285,49 @@ def build_hexagon(q: DerivedQuantities1) -> ConvexPolygon:
     return hexagon
 
 
+# the fundamental block, one row per cell in the order witnesses and JSON use:
+# (color, shape, rotation, mirror, shift). The shape, in its local frame, is
+# mirrored across the vertical axis if `mirror`, turned by `rotation` degrees
+# about the origin (the triangle's circumcenter), then moved to the point
+# that `shift` names in assemble_block; the triangle's row is skipped when c = 0
+CELLS1 = (
+    ("red", "triangle", 0, False, "origin"),
+    ("green", "octagon", 0, False, "origin"),
+    ("blue", "octagon", -120, False, "origin"),
+    ("orange", "octagon", 120, False, "origin"),
+    # pentagons: one above the block center, two flanking the green octagon
+    ("red", "pentagon", 0, False, "top"),
+    ("red", "pentagon", 120, False, "right"),
+    ("red", "pentagon", -120, False, "left"),
+    ("turquoise", "hexagon", 0, False, "right of axis"),
+    ("yellow", "hexagon", 0, True, "left of axis"),
+)
+
+
 def assemble_block(p: Params1) -> Tiling:
     """Assemble the fundamental block and lattice of the first coloring."""
     q = derive_quantities(p)
-    d = p.d
     h_c = q.h4 + q.c / 2
-    pent = build_pentagon(q, d)
-    octagon = build_octagon(q, d)
-    hexagon = build_hexagon(q)
-    cells = []
-    tri = build_triangle(q)
-    if tri is not None:
-        cells.append((tri, "red"))
-    cells.append((octagon, "green"))
-    cells.append((apply_transform(RigidTransform(rotation=-120), octagon), "blue"))
-    cells.append((apply_transform(RigidTransform(rotation=120), octagon), "orange"))
-    # pentagons: one above the block center, two flanking the green octagon
-    cells.append((pent.translated((0.0, h_c + q.h1)), "red"))
-    t_right = tuple(q.t2 * dirvec(30))
-    t_left = tuple(q.t2 * dirvec(150))
-    cells.append((apply_transform(RigidTransform(rotation=120, translation=t_right), pent), "red"))
-    cells.append((apply_transform(RigidTransform(rotation=-120, translation=t_left), pent), "red"))
-    cells.append((hexagon.translated((q.s3 / 2, h_c)), "turquoise"))
-    cells.append((apply_transform(
-        RigidTransform(mirror=True, translation=(-q.s3 / 2, h_c)), hexagon), "yellow"))
-    v1 = (0.0, q.H)
-    v2 = (q.H * dcos(30), q.H * dsin(30))
-    return Tiling(cells, v1, v2, DEFAULT_PRIORITY)
+    # in this build order, the first shape to fail its checks names the DomainError
+    shapes = {"pentagon": build_pentagon(q, p.d), "octagon": build_octagon(q, p.d),
+              "hexagon": build_hexagon(q), "triangle": build_triangle(q)}
+    shifts = {"origin": (0.0, 0.0), "top": (0.0, h_c + q.h1),
+              "right": q.t2 * dirvec(30), "left": q.t2 * dirvec(150),
+              "right of axis": (q.s3 / 2, h_c), "left of axis": (-q.s3 / 2, h_c)}
+    cells = [(shapes[shape].rotated(rotation, mirror).translated(shifts[shift]), color)
+             for color, shape, rotation, mirror, shift in CELLS1 if shapes[shape] is not None]
+    return Tiling(cells, (0.0, q.H), (q.H * dcos(30), q.H * dsin(30)), DEFAULT_PRIORITY)
 
 
 # --- feasibility scan ---------------------------------------------------
 
 
-def _feasible(d: float, alpha1: float, eps: float = EPS_GEOM) -> bool:
-    """Whether constraints(Params1(d, alpha1)).satisfied(eps), False where either raises."""
+def _feasible(d: float, alpha1: float) -> bool:
+    """Whether constraints(Params1(d, alpha1)).satisfied(), False where either raises."""
     if not (0.0 < d < 1.0 and 0.0 < alpha1 < 180.0):
         return False
     try:
-        return min(_residuals(_quantities(FLOATS, d, alpha1), d)) >= -eps
+        return min(_residuals(_quantities(FLOATS, d, alpha1), d)) >= -EPS_GEOM
     except (DomainError, ZeroDivisionError):
         return False
 
@@ -341,7 +343,7 @@ class FeasibilityMap:
         return self.bands.get(d)
 
 
-def _refine_edge(d: float, inside: float, step: float, iters: int = 50) -> float:
+def _refine_edge(d: float, inside: float, step: float) -> float:
     """The feasibility boundary beyond the feasible alpha1 `inside`, toward `step`.
 
     While inside + step is feasible the band reaches past it, so the bracket
@@ -353,7 +355,7 @@ def _refine_edge(d: float, inside: float, step: float, iters: int = 50) -> float
     while outside != inside and _feasible(d, outside):
         inside, step = outside, 2 * step
         outside = inside + step
-    for _ in range(iters):
+    for _ in range(REFINE_ITERS):
         mid = 0.5 * (inside + outside)
         if mid == inside or mid == outside:
             break

@@ -1,4 +1,4 @@
-"""Planar geometry kernel: convex polygons, rigid transforms, distance queries.
+"""Planar geometry kernel: convex polygons, isometries, distance queries.
 
 All angles are in degrees; conversion to radians happens inside the
 trigonometric helpers.  Coordinates are doubles; EPS_GEOM is the global
@@ -62,44 +62,32 @@ class ConvexPolygon:
         if np.any(cross < -EPS_GEOM):
             raise DomainError("polygon is not convex within tolerance")
 
-    def _store(self, v: np.ndarray) -> None:
+    def _store(self, v: np.ndarray) -> "ConvexPolygon":
         """Keep vertices v with their edge vectors and lengths, read-only."""
         edges = np.roll(v, -1, axis=0) - v
         lengths = np.hypot(edges[:, 0], edges[:, 1])
         for name, a in (("vertices", v), ("edge_vectors", edges), ("edge_lengths", lengths)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+        return self
 
     def translated(self, offset) -> "ConvexPolygon":
         """This polygon moved by `offset`. A translation keeps orientation and
         convexity, so the constructor's checks are not run again."""
-        moved = object.__new__(ConvexPolygon)
-        moved._store(self.vertices + np.asarray(offset, dtype=float))
-        return moved
+        moved = self.vertices + np.asarray(offset, dtype=float)
+        return object.__new__(ConvexPolygon)._store(moved)
 
-
-@dataclass(frozen=True)
-class RigidTransform:
-    """Mirror across the vertical axis (optional), then rotate, then translate."""
-
-    rotation: float = 0.0
-    translation: tuple = (0.0, 0.0)
-    mirror: bool = False
-
-    def matrix(self) -> np.ndarray:
-        c, s = dcos(self.rotation), dsin(self.rotation)
-        rot = np.array([[c, -s], [s, c]])
-        if self.mirror:
-            rot = rot @ np.array([[-1.0, 0.0], [0.0, 1.0]])
-        return rot
-
-    def apply_points(self, pts: np.ndarray) -> np.ndarray:
-        return pts @ self.matrix().T + np.asarray(self.translation, dtype=float)
-
-
-def apply_transform(t: RigidTransform, p: ConvexPolygon) -> ConvexPolygon:
-    """Apply a rigid transform; the constructor re-normalizes orientation."""
-    return ConvexPolygon(t.apply_points(p.vertices))
+    def rotated(self, angle: float, mirror: bool = False) -> "ConvexPolygon":
+        """This polygon mirrored across the vertical axis if `mirror`, then
+        turned by `angle` degrees about the origin. An isometry keeps
+        convexity, so the checks are not run again; a mirror reverses the
+        vertex order to keep it counterclockwise, as the constructor does."""
+        c, s = dcos(angle), dsin(angle)
+        m = np.array([[c, -s], [s, c]])
+        if mirror:
+            m = m @ np.array([[-1.0, 0.0], [0.0, 1.0]])
+        v = self.vertices @ m.T
+        return object.__new__(ConvexPolygon)._store(v[::-1].copy() if mirror else v)
 
 
 def polygon_area(p: ConvexPolygon) -> float:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class RenderSpec:
     viewport: tuple  # (x_min, y_min, x_max, y_max) in plane units
     scale: float = 200.0
     overlays: tuple = ()
-    palette: dict = field(default_factory=lambda: dict(PALETTE))
 
     def __post_init__(self):
         x0, y0, x1, y1 = self.viewport
@@ -88,7 +87,7 @@ def svg_lines(tiling: Tiling, spec: RenderSpec):
             poly, color = tiling.cells[k]
             v = poly.vertices + (a * tiling.v1 + b * tiling.v2)
             pts = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in map(to_px, v))
-            fill = spec.palette.get(color, "#CCCCCC")
+            fill = PALETTE.get(color, "#CCCCCC")
             yield (f'  <polygon points="{pts}" fill="{fill}" '
                    f'stroke="#000000" stroke-width="1"/>\n')
         for ov in spec.overlays:

@@ -185,7 +185,7 @@ class Tiling:
         k = np.concatenate(k)
         return cell, a[k], b[k]
 
-    def validate(self, eps: float = EPS_GEOM) -> None:
+    def validate(self) -> None:
         """Check the partition invariants; raise InvalidTilingError on failure.
 
         The block must have the lattice cell's area, and no two cell
@@ -193,7 +193,7 @@ class Tiling:
         that can bring them within distance 0 (see translate_pairs), but
         only where their bounding boxes meet are they clipped.
         """
-        if abs(self.block_area() - self.cell_area()) > eps:
+        if abs(self.block_area() - self.cell_area()) > EPS_GEOM:
             raise InvalidTilingError(f"block area {self.block_area()} != lattice cell area "
                                      f"{self.cell_area()}")
         pi, pj, pa, pb, gap = self.translate_pairs(*np.triu_indices(len(self.cells)), 0.0)

@@ -12,9 +12,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sixcoloring.cli import EXIT_ERROR, EXIT_INVALID, EXIT_VALID, _build_tiling, main
+from sixcoloring import cli
+from sixcoloring.cli import (
+    EXIT_ERROR,
+    EXIT_INVALID,
+    EXIT_VALID,
+    MAX_AXIS_VALUES,
+    _build_tiling,
+    main,
+)
 from sixcoloring.coloring_two import constants
-from sixcoloring.render import Overlay, RenderSpec, _fmt, render_svg
+from sixcoloring.render import PALETTE, Overlay, RenderSpec, _fmt, render_svg
 from sixcoloring.tiling import Tiling
 
 
@@ -82,6 +90,21 @@ class TestBadInput:
                            "--out", str(out)]) == EXIT_ERROR
         assert "step 5e-324 is too small" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--d-step", "--alpha-step"])
+    def test_scan_axis_too_long(self, capsys, tmp_path, flag):
+        # a finite but huge value count is refused before any value is made
+        out = tmp_path / "s.csv"
+        assert run(SCAN + ["--d-max=0.55", "--alpha-max=130", f"{flag}=1e-300",
+                           "--out", str(out)]) == EXIT_ERROR
+        assert f"more than {MAX_AXIS_VALUES}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scan_axis_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_AXIS_VALUES", 10)
+        assert len(list(cli._float_range(0.0, 0.9, 0.1))) == 10
+        with pytest.raises(ValueError, match="gives 11 values on .0.0, 1.0., more than 10"):
+            cli._float_range(0.0, 1.0, 0.1)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0"])
     def test_render_scale_not_positive(self, capsys, tmp_path, value):
@@ -346,7 +369,7 @@ def rectangle_loop_svg(tiling, spec):
                         or v[:, 1].max() < y0 or v[:, 1].min() > y1):
                     continue
                 pts = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in map(to_px, v))
-                fill = spec.palette.get(color, "#CCCCCC")
+                fill = PALETTE.get(color, "#CCCCCC")
                 lines.append(f'  <polygon points="{pts}" fill="{fill}" '
                              f'stroke="#000000" stroke-width="1"/>')
     for ov in spec.overlays:

@@ -1,5 +1,6 @@
 """Tests for the parameterized pentagon/triangle/octagon/hexagon coloring."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -193,6 +194,35 @@ class TestBlock:
         for d in (D_LOW, D_HIGH):
             t = assemble_block(Params1(d, default_alpha1(d)))
             assert verify(t, ColoringType.unit_except(red=d)).valid
+
+    # SHA-256 of to_json() at the two interval ends and at an infeasible
+    # point that still assembles; every vertex bit goes into the JSON
+    PINNED_JSON = {
+        (D_LOW, default_alpha1(D_LOW)):
+            "c16fd35e3826c4d3483ed78482a9703ceea2d68119737c9f0089331b0b7ab62c",
+        (D_HIGH, default_alpha1(D_HIGH)):
+            "5e17b2ac34147c1d9c883dea488a31a47abe91f14618d62e2d01a9ffda4d78d2",
+        (0.45, 130.0):
+            "1eb9fa92e01b24a5a2a9cb7603d53da171d69631ead2c2ee0f077fac4adedbe0",
+    }
+
+    @pytest.mark.parametrize("d, alpha1", sorted(PINNED_JSON))
+    def test_json_bytes_pinned(self, d, alpha1):
+        text = assemble_block(Params1(d, alpha1)).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED_JSON[d, alpha1]
+
+    # at (0.5, 40) the pentagon is not convex and the octagon has a short
+    # edge: the message shows that the pentagon is built first
+    @pytest.mark.parametrize("d, alpha1, message", [
+        (0.5, 40.0, "polygon is not convex within tolerance"),
+        (0.6, 120.0, "consecutive vertices closer than EPS_GEOM"),
+        (0.8, 20.0, "acos argument out of range in t1: 1.4396926207859084"),
+        (0.9, 30.0, "negative sqrt argument in t2: -0.5114805770653952"),
+    ])
+    def test_domain_error_pinned(self, d, alpha1, message):
+        with pytest.raises(DomainError) as err:
+            assemble_block(Params1(d, alpha1))
+        assert str(err.value) == message
 
 
 class TestFeasibleRegion:

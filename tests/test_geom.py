@@ -8,9 +8,9 @@ import pytest
 from sixcoloring.errors import DomainError
 from sixcoloring.geom import (
     ConvexPolygon,
-    RigidTransform,
-    apply_transform,
     convex_intersection_area,
+    dcos,
+    dsin,
     edge_distances,
     polygon_area,
     polygon_max_distance,
@@ -94,11 +94,18 @@ class TestConstruction:
             ConvexPolygon(np.array([[0, 0], [1, np.nan], [0, 1]]))
 
     def test_translated_matches_constructor(self):
+        # an isometry gives the constructor's polygon bit for bit, vertex
+        # order included: a mirror's reversal is the orientation fix's
         rng = np.random.default_rng(5)
         for _ in range(50):
             p = random_convex_polygon(rng, n=int(rng.integers(3, 9)))
             off = rng.normal(size=2) * 10.0 ** rng.integers(-3, 3)
-            moved, built = p.translated(off), ConvexPolygon(p.vertices + off)
+            angle, mirror = rng.uniform(-360, 360), bool(rng.integers(2))
+            m = np.array([[dcos(angle), -dsin(angle)], [dsin(angle), dcos(angle)]])
+            if mirror:
+                m = m @ np.diag([-1.0, 1.0])
+            moved = p.rotated(angle, mirror).translated(off)
+            built = ConvexPolygon(p.vertices @ m.T + off)
             for name in ("vertices", "edge_vectors", "edge_lengths"):
                 np.testing.assert_array_equal(getattr(moved, name), getattr(built, name))
                 assert not getattr(moved, name).flags.writeable
@@ -202,29 +209,24 @@ class TestEdgeDistances:
 
 class TestTransforms:
     def test_identity(self):
-        out = apply_transform(RigidTransform(), UNIT_SQUARE)
-        np.testing.assert_allclose(out.vertices, UNIT_SQUARE.vertices)
+        out = UNIT_SQUARE.rotated(0)
+        np.testing.assert_array_equal(out.vertices, UNIT_SQUARE.vertices)
 
     def test_full_turn(self):
-        out = apply_transform(RigidTransform(rotation=360), UNIT_SQUARE)
+        out = UNIT_SQUARE.rotated(360)
         np.testing.assert_allclose(out.vertices, UNIT_SQUARE.vertices, atol=1e-9)
 
     def test_double_mirror(self):
-        m = RigidTransform(mirror=True)
-        out = apply_transform(m, apply_transform(m, UNIT_SQUARE))
-        np.testing.assert_allclose(
-            np.sort(out.vertices, axis=0), np.sort(UNIT_SQUARE.vertices, axis=0), atol=1e-12)
+        out = UNIT_SQUARE.rotated(0, mirror=True).rotated(0, mirror=True)
+        np.testing.assert_allclose(out.vertices, UNIT_SQUARE.vertices, atol=1e-12)
 
     def test_isometry_preserves_area_and_distances(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
             p = random_convex_polygon(rng)
-            t = RigidTransform(rotation=rng.uniform(0, 360),
-                               translation=tuple(rng.uniform(-2, 2, 2)),
-                               mirror=bool(rng.integers(2)))
-            out = apply_transform(t, p)
+            out = p.rotated(rng.uniform(0, 360), bool(rng.integers(2))).translated(
+                rng.uniform(-2, 2, 2))
             assert polygon_area(out) == pytest.approx(polygon_area(p), abs=1e-12)
-            d0 = np.linalg.norm(p.vertices[0] - p.vertices[2])
             pairs0 = sorted(np.linalg.norm(a - b)
                             for i, a in enumerate(p.vertices)
                             for b in p.vertices[i + 1:])

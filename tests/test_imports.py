@@ -1,11 +1,14 @@
-"""Every name a package module imports is used there or re-exported."""
+"""Every name a package module imports is used there or re-exported, and
+every name it defines is used somewhere."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sixcoloring"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "sixcoloring"
 
 
 def unused_imports(source: str) -> list:
@@ -37,3 +40,57 @@ def test_detects_unused_and_respects_all():
               "import numpy as np\nfrom os import path, sep\nimport json\n"
               "__all__ = ['sep']\nprint(np.pi)\n")
     assert unused_imports(source) == ["path", "json"]
+
+
+def defined_names(source: str) -> list:
+    """Top-level names a module binds by def, class or assignment, dunders aside."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def referenced_names(source: str) -> set:
+    """Names a module reads: as a name, an attribute or an imported name, or
+    as a string of dotted names (getattr, monkeypatch and tracer targets).
+    Definitions and __all__ lists do not count."""
+    tree = ast.parse(source)
+    exported = {id(n) for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                for n in ast.walk(node.value)}
+    seen = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            seen.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            seen.add(node.attr)
+        elif isinstance(node, ast.alias):
+            seen.add(node.name)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in exported and re.fullmatch(r"[\w.]+", node.value)):
+            seen.update(node.value.split("."))
+    return seen
+
+
+def orphans(source: str, references: set) -> list:
+    return [n for n in defined_names(source) if n not in references]
+
+
+def test_no_orphan_definitions():
+    references = set()
+    for path in [p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py")]:
+        references |= referenced_names(path.read_text())
+    found = {path.name: orphans(path.read_text(), references)
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_detects_orphans():
+    source = ("import os\nA = 1\nB: int = 2\n__all__ = ['C']\n"
+              "def used():\n    return A\nclass C:\n    pass\nD = E = os.sep\n")
+    refs = referenced_names(source) | referenced_names("x.used\ngetattr(m, 'pkg.E')\n")
+    assert orphans(source, refs) == ["B", "C", "D"]
