@@ -47,6 +47,8 @@ def cmd_verify(args) -> int:
 
 
 def _float_range(lo: float, hi: float, step: float):
+    if hi < lo:
+        raise ValueError(f"range [{lo}, {hi}] is reversed")
     steps = (hi - lo) / step
     if not math.isfinite(steps):
         raise ValueError(f"step {step} is too small for the range [{lo}, {hi}]")

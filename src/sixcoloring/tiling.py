@@ -79,6 +79,12 @@ def _box_gap(lo, hi, lo2, hi2):
     return np.hypot(gap[..., 0], gap[..., 1])
 
 
+def _at_all_corners(grid: np.ndarray) -> np.ndarray:
+    """Bucket (i, j) of a bool array over grid points: whether it holds at all
+    four of the bucket's corners, the grid points (i + di, j + dj)."""
+    return grid[:-1, :-1] & grid[1:, :-1] & grid[:-1, 1:] & grid[1:, 1:]
+
+
 @dataclass(frozen=True)
 class ColoringType:
     """Avoided distance per color; color i must not realize distances[i]."""
@@ -209,18 +215,17 @@ class Tiling:
         """Cell translates covering the base lattice parallelogram, bucketed,
         and the rank of every bucket that one cell holds whole.
 
-        Each translate is kept as a polygon with its priority rank. It is
-        listed in every bucket of a LOCATE_GRID x LOCATE_GRID grid over
-        fractional lattice coordinates that its fractional bounding box meets
-        once widened by the reach of the EPS_GEOM boundary test, so a bucket
-        lists every translate that can contain or touch a point in it.
-
-        A listed translate is inside a bucket when all four of the bucket's
-        corners lie more than 2 EPS_GEOM inside it, and outside when one of
-        its edges has all four corners more than 2 EPS_GEOM beyond it. A
-        bucket is resolved when every translate it lists is inside or
-        outside and at least one is inside; its rank is then the least rank
-        of the inside ones, and unresolved buckets hold len(priority).
+        Each translate is kept as a polygon with its priority rank, and its
+        signed edge distances are taken once, at the (g + 1)^2 corners of a
+        g x g grid of buckets over fractional lattice coordinates, g being
+        LOCATE_GRID. A translate is inside a bucket when all four of the
+        bucket's corners lie more than 2 EPS_GEOM inside it, and outside when
+        one of its edges has all four corners more than 2 EPS_GEOM beyond it.
+        A bucket lists every translate that is not outside it. It is resolved
+        when every translate is inside or outside it and at least one is
+        inside; its rank is then the least rank of the inside ones, and
+        unresolved buckets hold len(priority). rank_at_many gives the
+        argument that makes both sound.
         """
         L = np.column_stack([self.v1, self.v2])
         Linv = np.linalg.inv(L)
@@ -228,49 +233,27 @@ class Tiling:
         base = ConvexPolygon(corners)
         g = LOCATE_GRID
         nc = len(self.priority)
-        # a Euclidean step of length r moves fractional coordinate k by at
-        # most r * |Linv[k]|
-        frac_per_length = np.hypot(Linv[:, 0], Linv[:, 1])
-        # the corners of bucket (i, j) are grid points (i + di, j + dj)
-        corner_step = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
-        bucket_rank = np.full(g * g, nc, dtype=np.intp)
-        mixed = np.zeros(g * g, dtype=bool)
+        # grid point (i, j) at fractional coordinates (i / g, j / g)
+        f = np.arange(g + 1) / g
+        grid = np.stack(np.meshgrid(f, f, indexing="ij"), axis=-1).reshape(-1, 2) @ L.T
+        bucket_rank = np.full((g, g), nc, dtype=np.intp)
+        resolved = np.ones((g, g), dtype=bool)
         candidates, listed = [], []
         cell, a, b = self.translates_meeting(corners.min(axis=0), corners.max(axis=0), EPS_GEOM)
         off = a[:, None] * self.v1 + b[:, None] * self.v2
         gap, _ = polygon_distances(self.padded_vertices[cell] + off[:, None], base.vertices[None])
         for k, o in zip(cell[gap <= EPS_GEOM].tolist(), off[gap <= EPS_GEOM]):
             t, color = self.cells[k][0].translated(o), self.cells[k][1]
-            # the points passing the boundary test (every signed edge distance
-            # >= -EPS_GEOM) form the polygon grown by EPS_GEOM along each edge
-            # normal; its corner where the boundary turns by phi lies
-            # EPS_GEOM / cos(phi / 2) out
-            u = t.edge_vectors / t.edge_lengths[:, None]
-            cos_turn = (u * np.roll(u, 1, axis=0)).sum(axis=1)
-            reach = EPS_GEOM * float(np.sqrt(2.0 / (1.0 + cos_turn)).max())
-            # doubled so that rounding in either coordinate system
-            # cannot move a touching point outside the listed buckets
-            margin = 2.0 * reach * frac_per_length
-            f = t.vertices @ Linv.T
-            lo = np.clip(np.floor((f.min(axis=0) - margin) * g), 0, g - 1).astype(int)
-            hi = np.clip(np.floor((f.max(axis=0) + margin) * g), 0, g - 1).astype(int)
-            buckets = np.zeros((g, g), dtype=bool)
-            buckets[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1] = True
             r = self.priority.index(color)
+            dist = edge_distances(grid, t).reshape(g + 1, g + 1, -1)
+            inside = _at_all_corners((dist > 2 * EPS_GEOM).all(axis=2))
+            outside = _at_all_corners(dist < -2 * EPS_GEOM).any(axis=2)
             candidates.append((t, r))
-            listed.append(buckets.ravel())
-            # signed edge distances at the corners of the listed buckets,
-            # shape (bucket, corner, edge)
-            ij = np.argwhere(buckets)
-            grid_pts = (ij[:, None, :] + corner_step).reshape(-1, 2) / g
-            dist = edge_distances(grid_pts @ L.T, t).reshape(len(ij), 4, -1)
-            inside = (dist > 2 * EPS_GEOM).all(axis=(1, 2))
-            outside = (dist < -2 * EPS_GEOM).all(axis=1).any(axis=1)
-            idx = ij[:, 0] * g + ij[:, 1]
-            mixed[idx[~inside & ~outside]] = True
-            bucket_rank[idx[inside]] = np.minimum(bucket_rank[idx[inside]], r)
-        bucket_rank[mixed] = nc
-        self._locator = _Locator(L, Linv, candidates, listed, bucket_rank)
+            listed.append(~outside.ravel())
+            resolved &= inside | outside
+            bucket_rank[inside] = np.minimum(bucket_rank[inside], r)
+        bucket_rank[~resolved] = nc
+        self._locator = _Locator(L, Linv, candidates, listed, bucket_rank.ravel())
         return self._locator
 
     def rank_at_many(self, pts: np.ndarray):
@@ -282,11 +265,14 @@ class Tiling:
         color among the cells containing it; a boundary point, among the cells
         it touches.
 
-        A point in a resolved bucket (see _build_locator) takes the bucket's
-        rank and is interior. That is the answer the per-point test gives it:
-        a signed edge distance is affine in the point and a bucket is convex,
-        so over the bucket it lies between its values at the four corners.
-        Every point of the bucket is thus more than 2 EPS_GEOM inside each
+        A point lists its bucket's translates (see _build_locator), and a
+        point in a resolved bucket takes the bucket's rank and is interior.
+        Both give the answer the per-point test gives it: a signed edge
+        distance is affine in the point and a bucket is convex, so over the
+        bucket it lies between its values at the four corners. A translate
+        the point touches has every edge distance >= -EPS_GEOM there, so each
+        edge has a corner above -2 EPS_GEOM and the translate is listed. In a
+        resolved bucket every point is more than 2 EPS_GEOM inside each
         inside translate, and more than 2 EPS_GEOM beyond an edge of each
         outside one. The per-point test asks only for EPS_GEOM, and the
         other EPS_GEOM is far more than the rounding of the matmuls

@@ -58,12 +58,13 @@ def _check_colors(t: Tiling, ct: ColoringType) -> None:
         raise ValueError(f"coloring type has no avoided distance for colors {missing}")
 
 
-def _pair_table(t: Tiling, ct: ColoringType, reach: float) -> tuple:
+def _pair_table(t: Tiling, ct: ColoringType) -> tuple:
     """Every relevant same-color translate pair, as arrays color, i, j, a, b,
     d, mn, mx: cells i and j, the lattice offset (a, b) applied to cell j, the
     pair's color and avoided distance d, and the realized distance interval
-    [mn, mx] where the bounding boxes are at most d + reach apart; elsewhere
-    mn and mx are NaN, so no comparison with them holds."""
+    [mn, mx] where the bounding boxes are at most d + BINDING_TOL apart, so
+    every interval within BINDING_TOL >= VIOLATION_TOL of d is there;
+    elsewhere mn and mx are NaN, so no comparison with them holds."""
     _check_colors(t, ct)
     colors = np.array([color for _, color in t.cells], dtype=object)
     dist = np.array([ct.distances[color] for color in colors], dtype=float)
@@ -76,7 +77,7 @@ def _pair_table(t: Tiling, ct: ColoringType, reach: float) -> tuple:
     i, j, a, b, gap = (x[keep] for x in (i, j, a, b, gap))
     d = dist[i]
     mn, mx = np.full(len(i), np.nan), np.full(len(i), np.nan)
-    near = gap <= d + reach
+    near = gap <= d + BINDING_TOL
     off = a[near, None] * t.v1 + b[near, None] * t.v2
     # a cell meets itself at its vertex 0, so its minimum is exactly 0
     mn[near], mx[near] = polygon_distances(t.padded_vertices[i[near]],
@@ -104,7 +105,7 @@ def verify(t: Tiling, ct: ColoringType, strictness: str = "open",
         raise ValueError(f"unknown strictness {strictness!r}")
     if validate:
         t.validate()
-    table = _pair_table(t, ct, 0.0)
+    table = _pair_table(t, ct)
     _, _, _, a, b, d, mn, mx = table
     if strictness == "open":
         bad = (d - mn > VIOLATION_TOL) & (mx - d > VIOLATION_TOL)
@@ -119,7 +120,7 @@ def verify(t: Tiling, ct: ColoringType, strictness: str = "open",
 def critical_witnesses(t: Tiling, ct: ColoringType) -> list:
     """Same-color pairs whose realized interval endpoint is within BINDING_TOL
     of the avoided distance: the binding constraints of a valid tiling."""
-    table = _pair_table(t, ct, BINDING_TOL)
+    table = _pair_table(t, ct)
     _, _, _, _, _, d, mn, mx = table
     return _witnesses(table, ct, np.minimum(abs(mn - d), abs(mx - d)) <= BINDING_TOL)
 

@@ -100,6 +100,15 @@ class TestBadInput:
         assert f"more than {MAX_AXIS_VALUES}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("axis, lo, hi", [("d", "0.5", "0.4"), ("alpha", "130", "120")])
+    def test_scan_range_reversed(self, capsys, tmp_path, axis, lo, hi):
+        # used to write only the CSV header and exit 0
+        out = tmp_path / "s.csv"
+        assert run(SCAN + [f"--{axis}-min={lo}", f"--{axis}-max={hi}",
+                           "--out", str(out)]) == EXIT_ERROR
+        assert f"range [{float(lo)}, {float(hi)}] is reversed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_scan_axis_bound_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(cli, "MAX_AXIS_VALUES", 10)
         assert len(list(cli._float_range(0.0, 0.9, 0.1))) == 10
@@ -220,13 +229,6 @@ class TestScan:
                     "--out", str(out)]) == EXIT_VALID
         assert out.read_bytes().split(b"\r\n")[1] == (
             b"0.808432734508,47.68406,nan,nan,nan,nan,nan,nan,false")
-
-    def test_empty_grid_header_only(self, tmp_path):
-        out = tmp_path / "scan.csv"
-        run(["scan", "--d-min", "0.50", "--d-max", "0.40", "--d-step", "0.001",
-             "--alpha-min", "120", "--alpha-max", "121", "--alpha-step", "1",
-             "--out", str(out)])
-        assert out.read_bytes() == b"d,alpha1,r1,r2,r3,r4,r5,r6,feasible\r\n"
 
     def test_unwritable_path(self, tmp_path, capsys):
         assert run(["scan", "--d-min", "0.45", "--d-max", "0.45", "--d-step", "0.001",

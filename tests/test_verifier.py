@@ -1,5 +1,6 @@
 """Tests for the distance-avoidance verifier and Monte Carlo cross-check."""
 
+import math
 import re
 
 import numpy as np
@@ -12,6 +13,7 @@ from sixcoloring.errors import InvalidTilingError
 from sixcoloring.geom import (
     EPS_GEOM,
     ConvexPolygon,
+    edge_distances,
     polygon_max_distance,
     polygon_min_distance,
 )
@@ -82,6 +84,25 @@ def bucket_probes(t):
     return (pts[:, None, :] + nudges[None, :, :]).reshape(-1, 2)
 
 
+def vertex_probes(t):
+    """Every cell vertex and edge midpoint, each nudged by 0 or
+    +-EPS_GEOM / 2 per axis."""
+    h = EPS_GEOM / 2
+    nudges = np.array([(a, b) for a in (-h, 0, h) for b in (-h, 0, h)])
+    special = np.concatenate([np.concatenate([p.vertices, 0.5 * (
+        p.vertices + np.roll(p.vertices, -1, axis=0))]) for p, _ in t.cells])
+    return (special[:, None, :] + nudges[None, :, :]).reshape(-1, 2)
+
+
+def locator_case(which):
+    """Coloring 1 at d = 0.45, coloring 2, or overlapping_tiling()."""
+    if which == "coloring 1":
+        return assemble_block(Params1(0.45, default_alpha1(0.45)))
+    if which == "coloring 2":
+        return assemble_block2(constants())
+    return overlapping_tiling()
+
+
 def overlapping_tiling():
     """An unvalidated tiling: an orange cell that tiles the plane alone and,
     listed after it, a red hexagon lying on it, so the overlap covers whole
@@ -121,11 +142,9 @@ def scalar_intervals(t, ct, reach):
 
 def per_pair_verify(t, ct, strictness):
     witnesses, pairs, translates = [], 0, set()
-    for color, d, i, j, offset, interval in scalar_intervals(t, ct, 0.0):
+    for color, d, i, j, offset, interval in scalar_intervals(t, ct, math.inf):
         pairs += 1
         translates.add(offset)
-        if interval is None:
-            continue
         mn, mx = interval
         if strictness == "open":
             bad = d - mn > VIOLATION_TOL and mx - d > VIOLATION_TOL
@@ -275,6 +294,23 @@ class TestPairTable:
         assert reports["open"].valid == (case not in ("coloring 1 invalid", "0.40", "0.70"))
         assert not reports["closed"].valid
 
+    def test_closed_counts_pairs_just_beyond_d(self):
+        # the red strips x in [0, 1] and [1.5, 2.5] lie 0.5 apart, just over
+        # red's avoided distance but within VIOLATION_TOL of it, so the
+        # closed check must compute their interval and report it
+        def strip(x0, x1):
+            return ConvexPolygon(np.array([[x0, 0], [x1, 0], [x1, 1], [x0, 1]], dtype=float))
+
+        t = Tiling([(strip(0, 1), "red"), (strip(1, 1.5), "blue"), (strip(1.5, 2.5), "red")],
+                   (2.5, 0.0), (0.0, 1.0))
+        ct = ColoringType(distances={"red": 0.5 - 5e-10, "blue": 7.0})
+        report = verify(t, ct, strictness="closed")
+        assert report == per_pair_verify(t, ct, "closed")
+        w = next(w for w in report.witnesses if w.pair == (0, 2) and w.offset == (0, 0))
+        assert w.interval[0] == 0.5
+        assert not any(w.pair == (0, 2) and w.offset == (0, 0)
+                       for w in verify(t, ct).witnesses)
+
 
 class TestCriticalWitnesses:
     def test_binding_at_dmax(self):
@@ -332,14 +368,10 @@ class TestColorAt:
             t = assemble_block2(constants())
             if which == "json round-trip":
                 t = Tiling.from_json(t.to_json())
-        # cell vertices and edge midpoints, each nudged by up to EPS_GEOM / 2
-        # per axis, probe the boundary cases of the bucket margins; bucket
-        # corners and edge midpoints, those of the resolved buckets
-        h = EPS_GEOM / 2
-        nudges = np.array([(a, b) for a in (-h, 0, h) for b in (-h, 0, h)])
-        special = np.concatenate([np.concatenate([p.vertices, 0.5 * (
-            p.vertices + np.roll(p.vertices, -1, axis=0))]) for p, _ in t.cells])
-        special = (special[:, None, :] + nudges[None, :, :]).reshape(-1, 2)
+        # nudged cell vertices and edge midpoints probe the boundary cases of
+        # bucket listing; bucket corners and edge midpoints, those of the
+        # resolved buckets
+        special = vertex_probes(t)
         rng = np.random.default_rng(5)
         pts = np.concatenate([rng.uniform(-3, 3, (20_000, 2)), bucket_probes(t), special])
         colors, interior = t.color_at_many(pts)
@@ -377,14 +409,42 @@ class TestColorAt:
         assert (bucket_rank == t.priority.index("red")).any()
         assert (bucket_rank == t.priority.index("orange")).any()
 
+    @pytest.mark.parametrize("which", ["coloring 1", "coloring 2", "overlapping cells"])
+    def test_buckets_list_every_touching_translate(self, which):
+        # every translate whose boundary test a point passes must be listed
+        # in the point's bucket, whether or not its color would win there
+        t = locator_case(which)
+        L, Linv, candidates, listed, _ = t._build_locator()
+        g = tiling.LOCATE_GRID
+        frac = Linv @ bucket_probes(t).T
+        frac -= np.floor(frac)
+        ij = np.minimum((frac * g).astype(np.intp), g - 1)
+        bucket = ij[0] * g + ij[1]
+        base = (L @ frac).T
+        touched = 0
+        for (cand, _), in_bucket in zip(candidates, listed):
+            touching = edge_distances(base, cand).min(axis=1) >= -EPS_GEOM
+            assert in_bucket[bucket[touching]].all()
+            touched += np.count_nonzero(touching)
+        assert touched > len(base)  # boundary probes touch several translates
+
+    @pytest.mark.parametrize("which", ["coloring 1", "coloring 2", "overlapping cells"])
+    def test_results_independent_of_grid_size(self, which, monkeypatch):
+        t = locator_case(which)
+        rng = np.random.default_rng(17)
+        pts = np.concatenate([rng.uniform(-3, 3, (20_000, 2)), vertex_probes(t)])
+        want_ranks, want_interior = t.rank_at_many(pts)
+        for g in (1, 7, 16, 64):
+            monkeypatch.setattr(tiling, "LOCATE_GRID", g)
+            ranks, interior = Tiling(t.cells, t.v1, t.v2, t.priority).rank_at_many(pts)
+            assert (ranks == want_ranks).all()
+            assert (interior == want_interior).all()
+
     @pytest.mark.parametrize("which", ["coloring 1", "coloring 2"])
     def test_most_buckets_resolved(self, which):
         # the point locator's speed rests on this; a bucket classification
         # that resolves nothing would still give right answers, slowly
-        if which == "coloring 1":
-            t = assemble_block(Params1(0.45, default_alpha1(0.45)))
-        else:
-            t = assemble_block2(constants())
+        t = locator_case(which)
         bucket_rank = t._build_locator().bucket_rank
         assert np.mean(bucket_rank < len(t.priority)) >= 0.85
 
@@ -412,10 +472,7 @@ class TestColorAt:
     def test_input_layout_does_not_matter(self, which):
         # the locator works on (2, n) rows; every layout of the same points
         # must reach the same bits
-        if which == "coloring 1":
-            t = assemble_block(Params1(0.45, default_alpha1(0.45)))
-        else:
-            t = assemble_block2(constants())
+        t = locator_case(which)
         rng = np.random.default_rng(12)
         pts = np.concatenate([rng.uniform(-3, 3, (50_000, 2)), bucket_probes(t)])
         want_ranks, want_interior = t.rank_at_many(pts)
