@@ -22,6 +22,10 @@ EXIT_ERROR = 2
 # instead of filling memory or disk
 MAX_AXIS_VALUES = 1 << 20
 
+# a scan axis's step count (hi - lo) / step this close below a whole number,
+# relatively, is roundoff (0.354 to 0.553 by 0.001 gives 198.99999999999997)
+STEP_ROUNDOFF = 1e-9
+
 
 def _build_tiling(coloring: int, d: float, alpha1=None):
     if coloring == 1:
@@ -52,7 +56,7 @@ def _float_range(lo: float, hi: float, step: float):
     steps = (hi - lo) / step
     if not math.isfinite(steps):
         raise ValueError(f"step {step} is too small for the range [{lo}, {hi}]")
-    count = int(round(steps)) + 1
+    count = math.floor(steps * (1 + STEP_ROUNDOFF)) + 1
     if count > MAX_AXIS_VALUES:
         raise ValueError(f"step {step} gives {count} values on [{lo}, {hi}], "
                          f"more than {MAX_AXIS_VALUES}")

@@ -2,8 +2,8 @@
 
 The construction avoids distance d in red and unit distance in the other five
 colors for d in [0.354, 0.553], given a suitable pentagon apex angle alpha1.
-Its block is the table CELLS1: each cell is a shape that a build_* function
-gives in its local frame, placed by a rotation, an optional mirror and a shift.
+Its block is the table CELLS1: each cell is a row of vertex names, over one
+dict of named points computed from (d, alpha1).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .coloring_two import LENGTH_TOL
 from .errors import DomainError, RangeError
 from .geom import EPS_GEOM, ConvexPolygon, dcos, dirvec, dsin
 from .tiling import DEFAULT_PRIORITY, Tiling
@@ -31,10 +32,6 @@ ALPHA1_SLOPE = ALPHA1_RISE / (D_HIGH - D_LOW)
 # sqrt and acos/asin arguments at most DOMAIN_ROUNDOFF outside their domain
 # are roundoff at binding configurations and are clamped
 DOMAIN_ROUNDOFF = 1e-12
-
-# the hexagon's closing side must be s5 within CLOSURE_TOL; its roundoff is
-# below 1e-15 over the (d, alpha1) plane, so this catches a wrong angle only
-CLOSURE_TOL = 1e-6
 
 # the most bisection steps that refine one feasibility band edge
 REFINE_ITERS = 50
@@ -59,7 +56,7 @@ class Params1:
 # backend they are arrays over alpha1.
 DerivedQuantities1 = namedtuple("DerivedQuantities1", (
     "s1 s2 s3 s4 s5 t1 t2 t3 t4 t5 h1 h2 h3 h4 h5 h6 h7 w1 w2 w3 "
-    "alpha2 alpha3 alpha4 alpha5 alpha6 alpha7 alpha8 c H"))
+    "alpha2 alpha3 alpha5 alpha7 alpha8 c H"))
 
 
 @dataclass(frozen=True)
@@ -76,11 +73,8 @@ class ConstraintResiduals:
     def as_tuple(self) -> tuple:
         return (self.r1, self.r2, self.r3, self.r4, self.r5, self.r6)
 
-    def minimum(self) -> float:
-        return min(self.as_tuple())
-
     def satisfied(self) -> bool:
-        return self.minimum() >= -EPS_GEOM
+        return min(self.as_tuple()) >= -EPS_GEOM
 
 
 # --- the formulas, over a numeric backend --------------------------------
@@ -167,9 +161,7 @@ def _quantities(m, d, a1) -> DerivedQuantities1:
     h6 = m.checked_sqrt(m.pow(s1, 2) - m.pow(w1 - w2, 2) / 4, "h6")
     h7 = h4 - h5 - h6
     s5 = m.sqrt(m.pow(h7, 2) + m.pow(w2 - s3, 2) / 4)
-    alpha4 = 180 - a1 / 2
     alpha5 = m.degrees(m.atan2(2 * h7, w2 - s3)) + t3
-    alpha6 = 390 - alpha4 - alpha5
     alpha7 = 360 - alpha2 - alpha5
     alpha8 = 240 - alpha7
     t4 = m.checked_sqrt(m.pow(s2, 2) + m.pow(s5, 2) - 2 * s2 * s5 * m.dcos(alpha7), "t4")
@@ -178,8 +170,7 @@ def _quantities(m, d, a1) -> DerivedQuantities1:
                         "w3")
     H = h1 + h4 + c / 2 + t2
     return DerivedQuantities1(s1, s2, s3, s4, s5, t1, t2, t3, t4, t5, h1, h2, h3, h4, h5, h6, h7,
-                              w1, w2, w3, alpha2, alpha3, alpha4, alpha5, alpha6, alpha7, alpha8,
-                              c, H)
+                              w1, w2, w3, alpha2, alpha3, alpha5, alpha7, alpha8, c, H)
 
 
 def _residuals(q: DerivedQuantities1, d) -> tuple:
@@ -221,102 +212,61 @@ def constraints_along(d: float, alpha1s) -> tuple:
     return r.T, r.min(axis=0) >= -EPS_GEOM
 
 
-# --- shape builders (local frames) -------------------------------------
+# --- the block, from named points ---------------------------------------
 
-
-def build_pentagon(q: DerivedQuantities1, d: float) -> ConvexPolygon:
-    """Equidiagonal pentagon, apex at the origin, opening downward."""
-    a1 = 360 - 2 * q.alpha4  # alpha4 = 180 - alpha1/2
-    apex = np.zeros(2)
-    b = q.s1 * dirvec(270 - a1 / 2)
-    cc = q.s1 * dirvec(270 + a1 / 2)
-    dd = d * dirvec(270 - q.t1 / 2)
-    ee = d * dirvec(270 + q.t1 / 2)
-    return ConvexPolygon(np.array([apex, b, dd, ee, cc]))
-
-
-def build_triangle(q: DerivedQuantities1):
-    """Equilateral red triangle of circumradius c, one vertex down; None when c = 0."""
-    if q.c <= 0:
-        return None
-    verts = np.array([q.c * dirvec(270), q.c * dirvec(30), q.c * dirvec(150)])
-    return ConvexPolygon(verts)
-
-
-def build_octagon(q: DerivedQuantities1, d: float) -> ConvexPolygon:
-    """Axisymmetric octagon with four unit diagonals, in the block-local frame.
-
-    The frame is centered on the triangle circumcenter; the octagon's bottom
-    side coincides with the triangle's top side.
-    """
-    a1 = 360 - 2 * q.alpha4
-    b = q.c * dirvec(150)
-    cc = q.c * dirvec(30)
-    bb = q.t2 * dirvec(150)
-    ccc = q.t2 * dirvec(30)
-    bbb = bb + q.s1 * dirvec(150 - a1 / 2)
-    cccc = ccc + q.s1 * dirvec(30 + a1 / 2)
-    arg = (q.s4 + q.s3) / 2
-    if not -1.0 <= arg <= 1.0:
-        raise DomainError("octagon top construction degenerates")
-    top_angle = math.degrees(math.acos(arg))
-    e = b + dirvec(top_angle)
-    dd = cc + dirvec(180 - top_angle)
-    return ConvexPolygon(np.array([e, cccc, ccc, cc, b, bb, bbb, dd]))
-
-
-def build_hexagon(q: DerivedQuantities1) -> ConvexPolygon:
-    """Hexagon with side sequence s2, s5 alternating, first vertex at the origin."""
-    headings = [
-        180 - q.alpha3,
-        -q.alpha3 + q.alpha7,
-        -q.alpha3 + q.alpha7 - 180 + q.alpha8,
-        -q.alpha3 + 2 * q.alpha7 + q.alpha8,
-        -q.alpha3 + 2 * q.alpha7 + 2 * q.alpha8 - 180,
-    ]
-    lengths = [q.s2, q.s5, q.s2, q.s5, q.s2]
-    pts = [np.zeros(2)]
-    for length, heading in zip(lengths, headings):
-        pts.append(pts[-1] + length * dirvec(heading))
-    hexagon = ConvexPolygon(np.array(pts))
-    closing = np.linalg.norm(pts[-1] - pts[0])
-    if abs(closing - q.s5) > CLOSURE_TOL:
-        raise DomainError("hexagon does not close")
-    return hexagon
-
-
-# the fundamental block, one row per cell in the order witnesses and JSON use:
-# (color, shape, rotation, mirror, shift). The shape, in its local frame, is
-# mirrored across the vertical axis if `mirror`, turned by `rotation` degrees
-# about the origin (the triangle's circumcenter), then moved to the point
-# that `shift` names in assemble_block; the triangle's row is skipped when c = 0
+# the fundamental block, one (color, vertex names) row per cell in the order
+# witnesses and JSON use, each counterclockwise from its stored first vertex.
+# A pentagon with apex X opening toward theta has vertices X, X1, X2, X3, X4:
+# X1 and X4 lie s1 from X toward theta -/+ alpha1/2, X2 and X3 lie d from X
+# toward theta -/+ t1/2. The apexes are the octagon feet E, W and S, t2 from
+# the red triangle's centre toward 30, 150 and 270 degrees, and the top
+# pentagon's N = S + v1; the triangle's corners TE, TW and TS lie c from its
+# centre the same ways. A name ending in lattice vectors is a point so moved.
 CELLS1 = (
-    ("red", "triangle", 0, False, "origin"),
-    ("green", "octagon", 0, False, "origin"),
-    ("blue", "octagon", -120, False, "origin"),
-    ("orange", "octagon", 120, False, "origin"),
-    # pentagons: one above the block center, two flanking the green octagon
-    ("red", "pentagon", 0, False, "top"),
-    ("red", "pentagon", 120, False, "right"),
-    ("red", "pentagon", -120, False, "left"),
-    ("turquoise", "hexagon", 0, False, "right of axis"),
-    ("yellow", "hexagon", 0, True, "left of axis"),
+    ("red", ("TS", "TE", "TW")),
+    ("green", ("N2", "W1", "W", "TW", "TE", "E", "E4", "N3")),
+    ("blue", ("W2+v2-v1", "E1", "E", "TE", "TS", "S", "S4", "W3+v2-v1")),
+    ("orange", ("E2-v2", "S1", "S", "TS", "TW", "W", "W4", "E3-v2")),
+    ("red", ("N", "N1", "N2", "N3", "N4")),
+    ("red", ("E", "E1", "E2", "E3", "E4")),
+    ("red", ("W", "W1", "W2", "W3", "W4")),
+    ("turquoise", ("E4", "E3", "W4+v2", "W3+v2", "N4", "N3")),
+    ("yellow", ("N2", "N1", "E2+v1-v2", "E1+v1-v2", "W2", "W1")),
 )
+
+# CELLS1 rows in build order: the first cell built to fail its checks names
+# the DomainError, so a pentagon, an octagon, a hexagon and the triangle lead
+BUILD_ORDER1 = (4, 1, 7, 0, 2, 3, 5, 6, 8)
 
 
 def assemble_block(p: Params1) -> Tiling:
-    """Assemble the fundamental block and lattice of the first coloring."""
+    """Assemble the fundamental block and lattice of the first coloring.
+
+    Raises DomainError unless each octagon's opposite vertices are a unit
+    apart and each hexagon's sides are s2 and s5 in turn, within LENGTH_TOL.
+    """
     q = derive_quantities(p)
-    h_c = q.h4 + q.c / 2
-    # in this build order, the first shape to fail its checks names the DomainError
-    shapes = {"pentagon": build_pentagon(q, p.d), "octagon": build_octagon(q, p.d),
-              "hexagon": build_hexagon(q), "triangle": build_triangle(q)}
-    shifts = {"origin": (0.0, 0.0), "top": (0.0, h_c + q.h1),
-              "right": q.t2 * dirvec(30), "left": q.t2 * dirvec(150),
-              "right of axis": (q.s3 / 2, h_c), "left of axis": (-q.s3 / 2, h_c)}
-    cells = [(shapes[shape].rotated(rotation, mirror).translated(shifts[shift]), color)
-             for color, shape, rotation, mirror, shift in CELLS1 if shapes[shape] is not None]
-    return Tiling(cells, (0.0, q.H), (q.H * dcos(30), q.H * dsin(30)), DEFAULT_PRIORITY)
+    v1, v2 = np.array([0.0, q.H]), q.H * dirvec(30)
+    top = np.array([0.0, q.h4 + q.c / 2 + q.h1])
+    pts = {"TE": q.c * dirvec(30), "TW": q.c * dirvec(150), "TS": q.c * dirvec(270)}
+    for name, theta, apex in (("E", 30, q.t2 * dirvec(30)), ("W", 150, q.t2 * dirvec(150)),
+                              ("S", 270, top - v1), ("N", 270, top)):
+        pts[name] = apex
+        for k, (r, turn) in enumerate(((q.s1, -p.alpha1 / 2), (p.d, -q.t1 / 2),
+                                       (p.d, q.t1 / 2), (q.s1, p.alpha1 / 2)), 1):
+            pts[f"{name}{k}"] = apex + r * dirvec(theta + turn)
+    pts.update({"W2+v2-v1": pts["W2"] + (v2 - v1), "W3+v2-v1": pts["W3"] + (v2 - v1),
+                "E2-v2": pts["E2"] - v2, "E3-v2": pts["E3"] - v2,
+                "W3+v2": pts["W3"] + v2, "W4+v2": pts["W4"] + v2,
+                "E1+v1-v2": pts["E1"] + (v1 - v2), "E2+v1-v2": pts["E2"] + (v1 - v2)})
+    built = {k: ConvexPolygon(np.array([pts[n] for n in CELLS1[k][1]])) for k in BUILD_ORDER1}
+    cells = [(built[k], color) for k, (color, _) in enumerate(CELLS1)]
+    octagons = np.array([poly.vertices for poly, _ in cells if len(poly.vertices) == 8])
+    hexagons = np.array([poly.edge_lengths for poly, _ in cells if len(poly.vertices) == 6])
+    if (np.any(np.abs(np.hypot(*(octagons[:, :4] - octagons[:, 4:]).T) - 1) > LENGTH_TOL)
+            or np.any(np.abs(hexagons - np.tile([q.s2, q.s5], 3)) > LENGTH_TOL)):
+        raise DomainError("an octagon diagonal or a hexagon side is off its length")
+    return Tiling(cells, v1, v2, DEFAULT_PRIORITY)
 
 
 # --- feasibility scan ---------------------------------------------------

@@ -18,8 +18,8 @@ from .tiling import DEFAULT_PRIORITY, Tiling
 
 SQRT3 = math.sqrt(3)
 
-# the checked lengths of assemble_block2 hold within LENGTH_TOL; their
-# roundoff is about 1e-16, so this catches a wrong vertex only
+# the lengths that both colorings' assemble functions check hold within
+# LENGTH_TOL; their roundoff is about 1e-16, so this catches a wrong vertex only
 LENGTH_TOL = 1e-10
 
 

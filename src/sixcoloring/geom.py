@@ -1,4 +1,4 @@
-"""Planar geometry kernel: convex polygons, isometries, distance queries.
+"""Planar geometry kernel: convex polygons, translation, distance queries.
 
 All angles are in degrees; conversion to radians happens inside the
 trigonometric helpers.  Coordinates are doubles; EPS_GEOM is the global
@@ -76,18 +76,6 @@ class ConvexPolygon:
         convexity, so the constructor's checks are not run again."""
         moved = self.vertices + np.asarray(offset, dtype=float)
         return object.__new__(ConvexPolygon)._store(moved)
-
-    def rotated(self, angle: float, mirror: bool = False) -> "ConvexPolygon":
-        """This polygon mirrored across the vertical axis if `mirror`, then
-        turned by `angle` degrees about the origin. An isometry keeps
-        convexity, so the checks are not run again; a mirror reverses the
-        vertex order to keep it counterclockwise, as the constructor does."""
-        c, s = dcos(angle), dsin(angle)
-        m = np.array([[c, -s], [s, c]])
-        if mirror:
-            m = m @ np.array([[-1.0, 0.0], [0.0, 1.0]])
-        v = self.vertices @ m.T
-        return object.__new__(ConvexPolygon)._store(v[::-1].copy() if mirror else v)
 
 
 def polygon_area(p: ConvexPolygon) -> float:
@@ -168,9 +156,11 @@ def convex_intersection_area(p: ConvexPolygon, q: ConvexPolygon) -> float:
             bx, by = poly[(i + 1) % len(poly)]
             sa = ex * (ay - cy0) - ey * (ax - cx0)
             sb = ex * (by - cy0) - ey * (bx - cx0)
-            if sa >= 0:
+            # a point on the clip line is outside: a crossing restores it where
+            # the intersection has area, so cells sharing only an edge give none
+            if sa > 0:
                 out.append((ax, ay))
-            if (sa >= 0) != (sb >= 0):
+            if (sa > 0) != (sb > 0):
                 t = sa / (sa - sb)
                 out.append((ax + t * (bx - ax), ay + t * (by - ay)))
         poly = out

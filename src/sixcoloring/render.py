@@ -64,9 +64,9 @@ def svg_lines(tiling: Tiling, spec: RenderSpec):
     viewport, each ending in a newline, as an iterator.
 
     Element order is stable (lattice offset, then cell index) so repeated
-    renders are byte-identical. The translates are listed before this
-    returns, so a viewport too large raises RangeError before any line is
-    made.
+    renders are byte-identical. Before this returns, a viewport too large
+    raises RangeError, and a page size or drawn coordinate that is not
+    finite ValueError, so no line is made.
     """
     x0, y0, x1, y1 = spec.viewport
     s = spec.scale
@@ -77,6 +77,20 @@ def svg_lines(tiling: Tiling, spec: RenderSpec):
 
     def to_px(pt):
         return (pt[0] - x0) * s, (y1 - pt[1]) * s  # flip y: SVG grows downward
+
+    # rounding keeps order, so each drawn coordinate lies between those of
+    # the lowest and highest corners over a cell's drawn translates
+    drawn = [width, height]
+    for k, (poly, _) in enumerate(tiling.cells):
+        on = cells == k
+        off = np.outer(offsets_a[on], tiling.v1) + np.outer(offsets_b[on], tiling.v2)
+        if len(off):
+            drawn += to_px((poly.vertices.min(axis=0) + off.min(axis=0)).tolist())
+            drawn += to_px((poly.vertices.max(axis=0) + off.max(axis=0)).tolist())
+    for ov in spec.overlays:
+        drawn += to_px(ov.center) + tuple(radius * s for radius, _ in ov.radii)
+    if not all(map(math.isfinite, drawn)):
+        raise ValueError(f"scale {s} puts the page or a drawn point beyond the float range")
 
     def lines():
         yield '<?xml version="1.0" encoding="UTF-8"?>\n'

@@ -10,11 +10,8 @@ from sixcoloring.coloring_one import (
     D_LOW,
     Params1,
     assemble_block,
-    build_octagon,
-    build_pentagon,
     constraints,
     default_alpha1,
-    derive_quantities,
     feasible_region,
     _feasible,
 )
@@ -107,13 +104,16 @@ def test_criterion_4_construction_invariants():
     ok = True
     rng = np.random.default_rng(42)
     for d, a1 in random_feasible_pairs(rng, 20):
-        q = derive_quantities(Params1(d, a1))
-        pv = build_pentagon(q, d).vertices
-        ok &= all(abs(np.linalg.norm(pv[i] - pv[(i + 2) % 5]) - d) < 1e-9
-                  for i in range(5))
-        ov = build_octagon(q, d).vertices
-        ok &= all(abs(np.linalg.norm(ov[i] - ov[i + 4]) - 1.0) < 1e-9
-                  for i in range(4))
+        # every pentagon of the block is equidiagonal (d), every octagon has
+        # four unit diagonals
+        for poly, _ in assemble_block(Params1(d, a1)).cells:
+            v = poly.vertices
+            if len(v) == 5:
+                ok &= all(abs(np.linalg.norm(v[i] - v[(i + 2) % 5]) - d) < 1e-9
+                          for i in range(5))
+            elif len(v) == 8:
+                ok &= all(abs(np.linalg.norm(v[i] - v[i + 4]) - 1.0) < 1e-9
+                          for i in range(4))
     pts = _heptagon_points(constants().d_max)
     for a, b in HEPTAGON_UNIT_DIAGONALS + HEXAGON_UNIT_DIAGONALS:
         ok &= abs(np.linalg.norm(pts[a] - pts[b]) - 1.0) < 1e-10

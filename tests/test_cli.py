@@ -132,6 +132,23 @@ class TestBadInput:
         assert "argument --viewport: must be four finite numbers" in err
         assert not svg.exists()
 
+    # the page size overflows at 0,0,10,10; at 0,0,1,1 it is 1e308, yet
+    # cell corners beyond x = 1.8 overflow; both used to write "inf"
+    @pytest.mark.parametrize("viewport", ["0,0,10,10", "0,0,1,1"])
+    def test_render_pixels_not_finite(self, capsys, tmp_path, viewport):
+        svg = tmp_path / "f.svg"
+        assert run(["render", "--coloring", "2", "--d", "0.5", f"--viewport={viewport}",
+                    "--scale=1e308", "--out", str(svg)]) == EXIT_ERROR
+        assert "beyond the float range" in capsys.readouterr().err
+        assert not svg.exists()
+
+    def test_render_overlay_radius_not_finite(self, capsys, tmp_path):
+        svg = tmp_path / "f.svg"
+        assert run(["render", "--coloring", "2", "--d", "0.5", "--viewport=0,0,1,1",
+                    "--scale=1e300", "--overlay=0,0,1e10", "--out", str(svg)]) == EXIT_ERROR
+        assert "beyond the float range" in capsys.readouterr().err
+        assert not svg.exists()
+
     @pytest.mark.parametrize("flag", ["--x", "--y"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_probe_point_not_finite(self, capsys, flag, value):
@@ -220,6 +237,19 @@ class TestScan:
         assert f"wrote 10000 rows to {out}" in capsys.readouterr().out
         assert out.read_bytes().count(b"\r\n") == 10001
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("axis, lo, hi, step, want", [
+        ("d", "0.40", "0.48", "0.03", [0.4, 0.43, 0.46]),
+        ("alpha", "120", "121", "0.6", [120.0, 120.6]),
+    ])
+    def test_scan_stops_at_upper_bound(self, tmp_path, axis, lo, hi, step, want):
+        # (hi - lo) / step is 2.67 and 1.67: rounding it used to add a value
+        # past hi
+        out = tmp_path / "s.csv"
+        assert run(SCAN + [f"--{axis}-min={lo}", f"--{axis}-max={hi}", f"--{axis}-step={step}",
+                           "--out", str(out)]) == EXIT_VALID
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert sorted({float(row[0 if axis == "d" else 1]) for row in rows}) == want
 
     def test_zero_divisor_row(self, tmp_path, capsys):
         # t3 divides by w1 = 0 here; the row is a domain failure, not a crash

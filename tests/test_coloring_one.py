@@ -11,10 +11,6 @@ from sixcoloring.coloring_one import (
     D_LOW,
     Params1,
     assemble_block,
-    build_hexagon,
-    build_octagon,
-    build_pentagon,
-    build_triangle,
     constraints,
     default_alpha1,
     derive_quantities,
@@ -29,6 +25,12 @@ from sixcoloring.verifier import verify
 
 def diameter(p):
     return polygon_max_distance(p, p)
+
+
+def cells_with(d, alpha1, n_vertices):
+    """The block's (polygon, color) cells with n_vertices vertices."""
+    return [(p, c) for p, c in assemble_block(Params1(d, alpha1)).cells
+            if len(p.vertices) == n_vertices]
 
 
 def random_feasible_pairs(rng, n):
@@ -69,15 +71,18 @@ class TestDerivedQuantities:
             q = derive_quantities(Params1(d, a1))
             # pentagon interior angles: alpha1 + 2*alpha2 + 2*alpha3 = 540
             assert a1 + 2 * q.alpha2 + 2 * q.alpha3 == pytest.approx(540, abs=1e-9)
-            # hexagon interior angles alternate alpha7/alpha8 and sum to 720
+            # hexagon interior angles alternate alpha7/alpha8 and sum to 720;
+            # the yellow hexagon, a mirror image, starts on alpha8
             assert 3 * (q.alpha7 + q.alpha8) == pytest.approx(720, abs=1e-9)
-            v = build_hexagon(q).vertices
-            for i in range(6):
-                u, w = v[(i - 1) % 6] - v[i], v[(i + 1) % 6] - v[i]
-                got = math.degrees(math.acos(
-                    np.dot(u, w) / (np.linalg.norm(u) * np.linalg.norm(w))))
-                want = q.alpha7 if i % 2 == 0 else q.alpha8
-                assert got == pytest.approx(want, abs=1e-6)
+            hexagons = cells_with(d, a1, 6)
+            assert [c for _, c in hexagons] == ["turquoise", "yellow"]
+            for (hexagon, _), want in zip(hexagons, ((q.alpha7, q.alpha8), (q.alpha8, q.alpha7))):
+                v = hexagon.vertices
+                for i in range(6):
+                    u, w = v[(i - 1) % 6] - v[i], v[(i + 1) % 6] - v[i]
+                    got = math.degrees(math.acos(
+                        np.dot(u, w) / (np.linalg.norm(u) * np.linalg.norm(w))))
+                    assert got == pytest.approx(want[i % 2], abs=1e-6)
 
     def test_positive_lengths(self):
         rng = np.random.default_rng(43)
@@ -87,58 +92,69 @@ class TestDerivedQuantities:
                 assert getattr(q, name) > 0, name
 
     def test_triangle_side_is_s4(self):
-        q = derive_quantities(Params1(0.4, default_alpha1(0.4)))
-        tri = build_triangle(q)
-        side = np.linalg.norm(tri.vertices[0] - tri.vertices[1])
-        assert side == pytest.approx(q.s4, abs=1e-12)
+        d = 0.4
+        q = derive_quantities(Params1(d, default_alpha1(d)))
+        [(tri, color)] = cells_with(d, default_alpha1(d), 3)
+        assert color == "red"
+        np.testing.assert_allclose(tri.edge_lengths, q.s4, rtol=0, atol=1e-12)
 
 
+# every copy of a shape in the block: 3 pentagons, 3 octagons, 2 hexagons
 class TestShapes:
     def test_pentagon_equidiagonal(self):
         rng = np.random.default_rng(47)
         for d, a1 in random_feasible_pairs(rng, 20):
-            pent = build_pentagon(derive_quantities(Params1(d, a1)), d)
-            v = pent.vertices
-            for i in range(5):
-                assert np.linalg.norm(v[i] - v[(i + 2) % 5]) == pytest.approx(d, abs=1e-9)
+            pentagons = cells_with(d, a1, 5)
+            assert len(pentagons) == 3
+            for pent, _ in pentagons:
+                v = pent.vertices
+                for i in range(5):
+                    assert np.linalg.norm(v[i] - v[(i + 2) % 5]) == pytest.approx(d, abs=1e-9)
 
     def test_pentagon_diameter_is_d(self):
         d = 0.5
-        pent = build_pentagon(derive_quantities(Params1(d, default_alpha1(d))), d)
-        assert diameter(pent) == pytest.approx(d, abs=1e-9)
+        for pent, _ in cells_with(d, default_alpha1(d), 5):
+            assert diameter(pent) == pytest.approx(d, abs=1e-9)
 
     def test_octagon_unit_diagonals(self):
         rng = np.random.default_rng(53)
         for d, a1 in random_feasible_pairs(rng, 20):
-            octagon = build_octagon(derive_quantities(Params1(d, a1)), d)
-            v = octagon.vertices
-            for i in range(4):  # the four opposite-vertex diagonals are unit
-                assert np.linalg.norm(v[i] - v[i + 4]) == pytest.approx(1.0, abs=1e-9)
+            octagons = cells_with(d, a1, 8)
+            assert [c for _, c in octagons] == ["green", "blue", "orange"]
+            for octagon, _ in octagons:
+                v = octagon.vertices
+                for i in range(4):  # the four opposite-vertex diagonals are unit
+                    assert np.linalg.norm(v[i] - v[i + 4]) == pytest.approx(1.0, abs=1e-9)
 
     def test_octagon_diameter_is_unit(self):
         d = 0.45
-        octagon = build_octagon(derive_quantities(Params1(d, default_alpha1(d))), d)
-        assert diameter(octagon) == pytest.approx(1.0, abs=1e-9)
+        for octagon, _ in cells_with(d, default_alpha1(d), 8):
+            assert diameter(octagon) == pytest.approx(1.0, abs=1e-9)
 
     def test_hexagon_opposite_vertices_span_w3(self):
         rng = np.random.default_rng(59)
         for d, a1 in random_feasible_pairs(rng, 10):
             q = derive_quantities(Params1(d, a1))
-            v = build_hexagon(q).vertices
-            for i in range(3):
-                assert np.linalg.norm(v[i] - v[i + 3]) == pytest.approx(q.w3, abs=1e-9)
+            hexagons = cells_with(d, a1, 6)
+            assert len(hexagons) == 2
+            for hexagon, _ in hexagons:
+                v = hexagon.vertices
+                for i in range(3):
+                    assert np.linalg.norm(v[i] - v[i + 3]) == pytest.approx(q.w3, abs=1e-9)
 
     def test_hexagon_diameter_is_w3(self):
-        q = derive_quantities(Params1(0.45, default_alpha1(0.45)))
-        assert diameter(build_hexagon(q)) == pytest.approx(q.w3, abs=1e-9)
+        d = 0.45
+        q = derive_quantities(Params1(d, default_alpha1(d)))
+        for hexagon, _ in cells_with(d, default_alpha1(d), 6):
+            assert diameter(hexagon) == pytest.approx(q.w3, abs=1e-9)
 
-    def test_triangle_absent_when_t2_below_d(self):
-        # at the lower end of the d range, c = max(t2 - d, 0) can vanish
-        q = derive_quantities(Params1(0.553, default_alpha1(0.553)))
-        if q.c == 0:
-            assert build_triangle(q) is None
-        else:
-            assert build_triangle(q) is not None
+    def test_no_triangle_raises(self):
+        # c = max(t2 - d, 0) vanishes where t2 <= d; the triangle and the
+        # octagons' bottom sides shrink to a point and the block cannot form
+        p = Params1(0.6, 120.0)
+        assert derive_quantities(p).c == 0
+        with pytest.raises(DomainError, match="consecutive vertices"):
+            assemble_block(p)
 
 
 class TestConstraints:
@@ -195,15 +211,26 @@ class TestBlock:
             t = assemble_block(Params1(d, default_alpha1(d)))
             assert verify(t, ColoringType.unit_except(red=d)).valid
 
+    @pytest.mark.parametrize("d", [D_LOW, 0.45, D_HIGH])
+    def test_shared_vertices_bit_identical(self, d):
+        # a corner that several cells share is one named point, so every copy
+        # of it has the same bits; the block has 34 such pairs of copies
+        t = assemble_block(Params1(d, default_alpha1(d)))
+        v = np.vstack([p.vertices for p, _ in t.cells])
+        i, j = np.triu_indices(len(v), 1)
+        close = np.hypot(*(v[i] - v[j]).T) < 1e-9
+        assert close.sum() == 34
+        np.testing.assert_array_equal(v[i[close]], v[j[close]])
+
     # SHA-256 of to_json() at the two interval ends and at an infeasible
     # point that still assembles; every vertex bit goes into the JSON
     PINNED_JSON = {
         (D_LOW, default_alpha1(D_LOW)):
-            "c16fd35e3826c4d3483ed78482a9703ceea2d68119737c9f0089331b0b7ab62c",
+            "e3c701dc06d3995fe097fb09404982808088cc6900449326fe99ac8358dc8c58",
         (D_HIGH, default_alpha1(D_HIGH)):
-            "5e17b2ac34147c1d9c883dea488a31a47abe91f14618d62e2d01a9ffda4d78d2",
+            "04e3a1e07743425601a5a6d0bd11254d547f5f335361c42b8cb9ecdf5786b777",
         (0.45, 130.0):
-            "1eb9fa92e01b24a5a2a9cb7603d53da171d69631ead2c2ee0f077fac4adedbe0",
+            "689ae947a69e6151020f983be3dc876b3b4ec032f9ad4d4ecb74e89ca0cf62c5",
     }
 
     @pytest.mark.parametrize("d, alpha1", sorted(PINNED_JSON))
