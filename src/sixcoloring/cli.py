@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import pairwise
 
 from . import coloring_one, coloring_two
 from .render import DASH_AVOID, DASH_MIN, DASH_UNIT, Overlay, RenderSpec, render_svg, svg_lines
@@ -60,7 +61,13 @@ def _float_range(lo: float, hi: float, step: float):
     if count > MAX_AXIS_VALUES:
         raise ValueError(f"step {step} gives {count} values on [{lo}, {hi}], "
                          f"more than {MAX_AXIS_VALUES}")
-    return (round(lo + k * step, 12) for k in range(count))
+    def axis():
+        return (round(lo + k * step, 12) for k in range(count))
+
+    # the CSV labels values f"{x:.12g}"; rounding keeps order, so equal labels are neighbours
+    if any(a == b for a, b in pairwise(f"{x:.12g}" for x in axis())):
+        raise ValueError(f"step {step} gives two values on [{lo}, {hi}] the same label")
+    return axis()
 
 
 def cmd_scan(args) -> int:

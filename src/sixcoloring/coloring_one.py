@@ -2,8 +2,9 @@
 
 The construction avoids distance d in red and unit distance in the other five
 colors for d in [0.354, 0.553], given a suitable pentagon apex angle alpha1.
-Its block is the table CELLS1: each cell is a row of vertex names, over one
-dict of named points computed from (d, alpha1).
+Its block is the table CELLS1, rows of vertex names over points computed from (d, alpha1).
+Tiling.from_points builds it in row order, as it does the second coloring's block, with
+moves written in names (W3+v2) and the lengths checked within tiling.LENGTH_TOL.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .coloring_two import LENGTH_TOL
 from .errors import DomainError, RangeError
-from .geom import EPS_GEOM, ConvexPolygon, dcos, dirvec, dsin
-from .tiling import DEFAULT_PRIORITY, Tiling
+from .geom import EPS_GEOM, dcos, dirvec, dsin
+from .tiling import Tiling
 
 D_LOW = 0.354
 D_HIGH = 0.553
@@ -221,7 +221,7 @@ def constraints_along(d: float, alpha1s) -> tuple:
 # toward theta -/+ t1/2. The apexes are the octagon feet E, W and S, t2 from
 # the red triangle's centre toward 30, 150 and 270 degrees, and the top
 # pentagon's N = S + v1; the triangle's corners TE, TW and TS lie c from its
-# centre the same ways. A name ending in lattice vectors is a point so moved.
+# centre the same ways. W3+v2 and the like are moved points (Tiling.from_points).
 CELLS1 = (
     ("red", ("TS", "TE", "TW")),
     ("green", ("N2", "W1", "W", "TW", "TE", "E", "E4", "N3")),
@@ -234,18 +234,15 @@ CELLS1 = (
     ("yellow", ("N2", "N1", "E2+v1-v2", "E1+v1-v2", "W2", "W1")),
 )
 
-# CELLS1 rows in build order: the first cell built to fail its checks names
-# the DomainError, so a pentagon, an octagon, a hexagon and the triangle lead
-BUILD_ORDER1 = (4, 1, 7, 0, 2, 3, 5, 6, 8)
-
-
 def assemble_block(p: Params1) -> Tiling:
     """Assemble the fundamental block and lattice of the first coloring.
 
-    Raises DomainError unless each octagon's opposite vertices are a unit
-    apart and each hexagon's sides are s2 and s5 in turn, within LENGTH_TOL.
-    """
+    Raises DomainError where c = 0, as the red triangle then vanishes, and unless
+    each octagon's opposite vertices are 1 apart and each hexagon's sides s2 and
+    s5 in turn, within LENGTH_TOL."""
     q = derive_quantities(p)
+    if q.c == 0:
+        raise DomainError(f"no red triangle: t2 = {q.t2} <= d = {p.d}, so c = 0")
     v1, v2 = np.array([0.0, q.H]), q.H * dirvec(30)
     top = np.array([0.0, q.h4 + q.c / 2 + q.h1])
     pts = {"TE": q.c * dirvec(30), "TW": q.c * dirvec(150), "TS": q.c * dirvec(270)}
@@ -255,18 +252,10 @@ def assemble_block(p: Params1) -> Tiling:
         for k, (r, turn) in enumerate(((q.s1, -p.alpha1 / 2), (p.d, -q.t1 / 2),
                                        (p.d, q.t1 / 2), (q.s1, p.alpha1 / 2)), 1):
             pts[f"{name}{k}"] = apex + r * dirvec(theta + turn)
-    pts.update({"W2+v2-v1": pts["W2"] + (v2 - v1), "W3+v2-v1": pts["W3"] + (v2 - v1),
-                "E2-v2": pts["E2"] - v2, "E3-v2": pts["E3"] - v2,
-                "W3+v2": pts["W3"] + v2, "W4+v2": pts["W4"] + v2,
-                "E1+v1-v2": pts["E1"] + (v1 - v2), "E2+v1-v2": pts["E2"] + (v1 - v2)})
-    built = {k: ConvexPolygon(np.array([pts[n] for n in CELLS1[k][1]])) for k in BUILD_ORDER1}
-    cells = [(built[k], color) for k, (color, _) in enumerate(CELLS1)]
-    octagons = np.array([poly.vertices for poly, _ in cells if len(poly.vertices) == 8])
-    hexagons = np.array([poly.edge_lengths for poly, _ in cells if len(poly.vertices) == 6])
-    if (np.any(np.abs(np.hypot(*(octagons[:, :4] - octagons[:, 4:]).T) - 1) > LENGTH_TOL)
-            or np.any(np.abs(hexagons - np.tile([q.s2, q.s5], 3)) > LENGTH_TOL)):
-        raise DomainError("an octagon diagonal or a hexagon side is off its length")
-    return Tiling(cells, v1, v2, DEFAULT_PRIORITY)
+    lengths = [(r[i], r[i + 4], 1.0) for _, r in CELLS1 if len(r) == 8 for i in range(4)]
+    lengths += [(r[i], r[(i + 1) % 6], (q.s2, q.s5)[i % 2]) for _, r in CELLS1 if len(r) == 6
+                for i in range(6)]
+    return Tiling.from_points(pts, CELLS1, v1, v2, lengths)
 
 
 # --- feasibility scan ---------------------------------------------------

@@ -12,15 +12,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
-from .geom import ConvexPolygon, dirvec
-from .tiling import DEFAULT_PRIORITY, Tiling
+from .errors import ConvergenceError
+from .geom import dirvec
+from .tiling import Tiling
 
 SQRT3 = math.sqrt(3)
-
-# the lengths that both colorings' assemble functions check hold within
-# LENGTH_TOL; their roundoff is about 1e-16, so this catches a wrong vertex only
-LENGTH_TOL = 1e-10
 
 
 def quartic(x: float) -> float:
@@ -94,18 +90,12 @@ def _heptagon_points(d_max: float) -> dict:
         "NN": np.array([0.5 - aux_x, SQRT3 + aux_y]),
         "MM": np.array([0.5 + aux_x, SQRT3 + aux_y]),
     }
-    u = np.array([0.25, 3 * SQRT3 / 4 - d_max / 2])
-    v = np.array([-0.25, SQRT3 / 4 + d_max / 2])
-    w = np.array([0.75, 3 * SQRT3 / 4 - d_max / 2])
-    r = np.array([1.25, SQRT3 / 4 + d_max / 2])
-    pts["I1"] = u - aux_w * dirvec(aux_angle)
-    pts["I2"] = v + aux_w * dirvec(aux_angle)
-    pts["I3"] = r + aux_w * dirvec(180 - aux_angle)
-    pts["I4"] = w - aux_w * dirvec(180 - aux_angle)
+    pts["I1"] = np.array([0.25, 3 * SQRT3 / 4 - d_max / 2]) - aux_w * dirvec(aux_angle)
+    pts["I2"] = np.array([-0.25, SQRT3 / 4 + d_max / 2]) + aux_w * dirvec(aux_angle)
+    pts["I3"] = np.array([1.25, SQRT3 / 4 + d_max / 2]) + aux_w * dirvec(180 - aux_angle)
+    pts["I4"] = np.array([0.75, 3 * SQRT3 / 4 - d_max / 2]) - aux_w * dirvec(180 - aux_angle)
     pts["I5"] = pts["PD"] + pts["PA"] - pts["I2"]
     pts["I6"] = pts["PD"] + pts["PA"] - pts["I3"]
-    pts["MMM"] = pts["MM"] + np.array([-1.0, -SQRT3])
-    pts["NNN"] = pts["NN"] + np.array([1.0, -SQRT3])
     return pts
 
 
@@ -115,25 +105,24 @@ def constants() -> Constants2:
     return Constants2(d_max=d_max, d_min=SQRT3 - 2 * d_max)
 
 
-# the four unit diagonals of the base-row heptagon, by vertex name
-HEPTAGON_UNIT_DIAGONALS = (("X", "I4"), ("AA", "I3"), ("AA", "PA"), ("NNN", "PA"))
-
-# the three unit diagonals of the hexagon
+# the four unit diagonals of the base-row heptagon and the three of the hexagon
+HEPTAGON_UNIT_DIAGONALS = (("X", "I4"), ("AA", "I3"), ("AA", "PA"), ("NN+v1-v2", "PA"))
 HEXAGON_UNIT_DIAGONALS = (("B", "C"), ("M", "MM"), ("N", "NN"))
 
-# the fundamental block: (color, vertex names, shift) per cell; the blue
-# hexagon is centrosymmetric about (1/2, sqrt 3) before its shift, the red
-# pentagon axisymmetric with apex PD, the yellow heptagon is the base-row
-# one, and the red square is centered at (1/2, 0) with diagonals d_min
+# the fundamental block on the lattice v1 = (2, 0), v2 = (1, sqrt 3): the blue
+# hexagon is centrosymmetric about (1/2, sqrt 3) before its move, the red
+# pentagon axisymmetric with apex PD, the yellow heptagon is the base-row one,
+# and the red square is centered at (1/2, 0) with diagonals d_min
 CELLS2 = (
-    ("orange", ("Z", "ZZ", "C", "N", "I3", "I4", "PC"), (-1.0, -SQRT3)),
-    ("green", ("Y", "YY", "B", "M", "I2", "I1", "PB"), (1.0, -SQRT3)),
-    ("red", ("PA", "I2", "M", "N", "I3"), (1.0, -SQRT3)),
-    ("blue", ("M", "N", "C", "MM", "NN", "B"), (1.0, -SQRT3)),
-    ("red", ("I5", "MM", "NN", "I6", "PD"), (1.0, -SQRT3)),
-    ("turquoise", ("X", "XX", "A", "MMM", "I1", "I2", "PA"), (0.0, 0.0)),
-    ("yellow", ("X", "XXX", "AA", "NNN", "I4", "I3", "PA"), (0.0, 0.0)),
-    ("red", ("X", "XX", "MAA", "XXX"), (0.0, 0.0)),
+    ("orange", ("Z-v2", "ZZ-v2", "C-v2", "N-v2", "I3-v2", "I4-v2", "PC-v2")),
+    ("green", ("Y+v1-v2", "YY+v1-v2", "B+v1-v2", "M+v1-v2", "I2+v1-v2", "I1+v1-v2",
+               "PB+v1-v2")),
+    ("red", ("PA+v1-v2", "I2+v1-v2", "M+v1-v2", "N+v1-v2", "I3+v1-v2")),
+    ("blue", ("M+v1-v2", "N+v1-v2", "C+v1-v2", "MM+v1-v2", "NN+v1-v2", "B+v1-v2")),
+    ("red", ("I5+v1-v2", "MM+v1-v2", "NN+v1-v2", "I6+v1-v2", "PD+v1-v2")),
+    ("turquoise", ("X", "XX", "A", "MM-v2", "I1", "I2", "PA")),
+    ("yellow", ("X", "XXX", "AA", "NN+v1-v2", "I4", "I3", "PA")),
+    ("red", ("X", "XX", "MAA", "XXX")),
 )
 
 
@@ -143,11 +132,6 @@ def assemble_block2(c: Constants2) -> Tiling:
     Raises DomainError unless the seven unit diagonals are unit and the
     heptagon edge I4-I3 is d_max, within LENGTH_TOL.
     """
-    pts = _heptagon_points(c.d_max)
     lengths = [(a, b, 1.0) for a, b in HEPTAGON_UNIT_DIAGONALS + HEXAGON_UNIT_DIAGONALS]
-    for a, b, length in lengths + [("I4", "I3", c.d_max)]:
-        if abs(np.linalg.norm(pts[a] - pts[b]) - length) > LENGTH_TOL:
-            raise DomainError(f"{a}-{b} is not of length {length}")
-    cells = [(ConvexPolygon(np.array([pts[n] for n in names]) + np.asarray(shift)), color)
-             for color, names, shift in CELLS2]
-    return Tiling(cells, (2.0, 0.0), (1.0, SQRT3), DEFAULT_PRIORITY)
+    return Tiling.from_points(_heptagon_points(c.d_max), CELLS2, (2.0, 0.0), (1.0, SQRT3),
+                              lengths + [("I4", "I3", c.d_max)])

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidTilingError, RangeError
+from .errors import DomainError, InvalidTilingError, RangeError
 from .geom import (
     EPS_GEOM,
     ConvexPolygon,
@@ -19,10 +21,11 @@ from .geom import (
     polygon_distances,
 )
 
+# the colors, highest priority first: a boundary point gets the first incident one
 COLORS = ("red", "orange", "green", "blue", "yellow", "turquoise")
 
-# boundary points get the highest-priority incident color (red shapes first)
-DEFAULT_PRIORITY = ("red", "orange", "green", "blue", "yellow", "turquoise")
+# Tiling.from_points' length tolerance; roundoff is about 1e-16, so it catches a wrong vertex only
+LENGTH_TOL = 1e-10
 
 # point location uses a uniform grid of LOCATE_GRID x LOCATE_GRID buckets over
 # fractional lattice coordinates (Edahiro, Kokubo and Asano, ACM TOG 3(2),
@@ -73,6 +76,20 @@ def _lattice_offsets(v1: np.ndarray, v2: np.ndarray, radius: float):
     return a[keep], b[keep], length[keep]
 
 
+@lru_cache(maxsize=None)
+def _name_table(rows: tuple, pairs: tuple) -> tuple:
+    """Tiling.from_points' names resolved once per table: the distinct names' base points, the
+    moved ones' indices and moves a, b as columns, and the rows and pairs as indices."""
+    names = list(dict.fromkeys(n for row in [r for _, r in rows] + list(pairs) for n in row))
+    step = {"+v1": (1, 0), "-v1": (-1, 0), "+v2": (0, 1), "-v2": (0, -1)}
+    split = [re.split(r"(?=[+-])", n) for n in names]
+    moves = np.array([np.sum([(0, 0)] + [step[m] for m in ms], axis=0) for _, *ms in split])
+    moved = np.flatnonzero(moves.any(axis=1))
+    return ([base for base, *_ in split], moved, *moves[moved].T[:, :, None],
+            [np.array([*map(names.index, r)]) for _, r in rows],
+            np.array([[*map(names.index, p)] for p in pairs], dtype=np.intp).reshape(-1, 2).T)
+
+
 def _box_gap(lo, hi, lo2, hi2):
     """Distances between the boxes [lo, hi] and [lo2, hi2]; 0 where they meet."""
     gap = np.maximum(0.0, np.maximum(lo2 - hi, lo - hi2))
@@ -94,9 +111,7 @@ class ColoringType:
     @classmethod
     def unit_except(cls, red: float) -> "ColoringType":
         """Five colors avoiding unit distance, red avoiding `red`."""
-        d = {c: 1.0 for c in COLORS}
-        d["red"] = float(red)
-        return cls(d)
+        return cls({c: 1.0 for c in COLORS} | {"red": float(red)})
 
     def __post_init__(self):
         if not all(math.isfinite(v) and v > 0 for v in self.distances.values()):
@@ -116,7 +131,7 @@ class _Locator(NamedTuple):
 class Tiling:
     """Colored polygons of one fundamental block plus two lattice vectors."""
 
-    def __init__(self, cells, v1, v2, priority=DEFAULT_PRIORITY):
+    def __init__(self, cells, v1, v2, priority=COLORS):
         self.cells = [(poly, str(color)) for poly, color in cells]
         # per-cell data, with the vertices padded as geom.polygon_distances takes them
         polys = [p.vertices for p, _ in self.cells]
@@ -128,8 +143,9 @@ class Tiling:
         self._areas = [polygon_area(p) for p, _ in self.cells]
         diff = pv[:, :, None] - pv[:, None]
         self._diams = np.sqrt((diff ** 2).sum(axis=3)).max(axis=(1, 2))
-        self.v1 = np.asarray(v1, dtype=float)
-        self.v2 = np.asarray(v2, dtype=float)
+        self.v1, self.v2 = np.asarray(v1, dtype=float), np.asarray(v2, dtype=float)
+        if not (np.isfinite(self.v1).all() and np.isfinite(self.v2).all()):
+            raise InvalidTilingError(f"lattice vectors {v1}, {v2} must be finite")
         self.priority = tuple(priority)
         unknown = {c for _, c in self.cells} - set(self.priority)
         if unknown:
@@ -339,19 +355,30 @@ class Tiling:
     # --- serialization --------------------------------------------------
 
     def to_json(self) -> str:
-        def fmt(x):
-            return float(f"{x:.17g}")
+        def fmt(point):
+            return [float(f"{x:.17g}") for x in point]
 
-        doc = {
-            "lattice": [[fmt(self.v1[0]), fmt(self.v1[1])],
-                        [fmt(self.v2[0]), fmt(self.v2[1])]],
-            "cells": [
-                {"color": color, "vertices": [[fmt(x), fmt(y)] for x, y in poly.vertices]}
-                for poly, color in self.cells
-            ],
+        return json.dumps({
+            "lattice": [fmt(self.v1), fmt(self.v2)],
+            "cells": [{"color": color, "vertices": [fmt(v) for v in poly.vertices]}
+                      for poly, color in self.cells],
             "priority": list(self.priority),
-        }
-        return json.dumps(doc, indent=2)
+        }, indent=2)
+
+    @classmethod
+    def from_points(cls, pts: dict, rows, v1, v2, lengths) -> "Tiling":
+        """Cells from a tuple of (color, vertex names) rows over the named points
+        pts. The name "W3+v2-v1" is pts["W3"] + (v2 - v1), its moves summed into
+        one offset a v1 + b v2. Once the cells are built, DomainError names the
+        first (name, name, length) tuple of `lengths` off by more than LENGTH_TOL."""
+        bases, moved, a, b, cell_index, (i, j) = _name_table(rows, tuple(s[:2] for s in lengths))
+        at = np.array([pts[n] for n in bases], dtype=float)
+        at[moved] += a * v1 + b * v2
+        cells = [(ConvexPolygon(at[k]), color) for k, (color, _) in zip(cell_index, rows)]
+        ok = np.abs(np.hypot(*(at[i] - at[j]).T) - [s[2] for s in lengths]) <= LENGTH_TOL
+        if not ok.all():
+            raise DomainError("{}-{} is not of length {}".format(*lengths[np.argmin(ok)]))
+        return cls(cells, v1, v2)
 
     @classmethod
     def from_json(cls, text: str) -> "Tiling":

@@ -115,6 +115,7 @@ def test_criterion_4_construction_invariants():
                 ok &= all(abs(np.linalg.norm(v[i] - v[i + 4]) - 1.0) < 1e-9
                           for i in range(4))
     pts = _heptagon_points(constants().d_max)
+    pts["NN+v1-v2"] = pts["NN"] + [1.0, -SQRT3]  # the one moved name in the diagonals
     for a, b in HEPTAGON_UNIT_DIAGONALS + HEXAGON_UNIT_DIAGONALS:
         ok &= abs(np.linalg.norm(pts[a] - pts[b]) - 1.0) < 1e-10
     report(4, "construction invariants", ok)

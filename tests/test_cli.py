@@ -109,6 +109,20 @@ class TestBadInput:
         assert f"range [{float(lo)}, {float(hi)}] is reversed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("axis, lo, hi, step", [
+        ("d", "0.45", "0.4500000000005", "1e-13"),
+        ("alpha", "120", "120.0000000003", "1e-10"),
+        ("alpha", "120", "120.0000000003", "1e-12"),
+    ])
+    def test_scan_step_below_label_precision(self, capsys, tmp_path, axis, lo, hi, step):
+        # rows are labelled to 12 significant digits; these used to write
+        # 5, 4 and 301 rows labelled 0.45 or 120
+        out = tmp_path / "s.csv"
+        assert run(SCAN + [f"--{axis}-min={lo}", f"--{axis}-max={hi}", f"--{axis}-step={step}",
+                           "--out", str(out)]) == EXIT_ERROR
+        assert f"step {step} gives two values on" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_scan_axis_bound_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(cli, "MAX_AXIS_VALUES", 10)
         assert len(list(cli._float_range(0.0, 0.9, 0.1))) == 10
@@ -250,6 +264,14 @@ class TestScan:
                            "--out", str(out)]) == EXIT_VALID
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert sorted({float(row[0 if axis == "d" else 1]) for row in rows}) == want
+
+    def test_step_at_label_precision(self, tmp_path, capsys):
+        # at d = 0.45 twelve significant digits resolve 1e-12
+        out = tmp_path / "s.csv"
+        assert run(SCAN + ["--d-min=0.45", "--d-max=0.45000000001", "--d-step=1e-12",
+                           "--out", str(out)]) == EXIT_VALID
+        labels = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        assert labels[:2] == ["0.45", "0.450000000001"] and len(set(labels)) == 11
 
     def test_zero_divisor_row(self, tmp_path, capsys):
         # t3 divides by w1 = 0 here; the row is a domain failure, not a crash

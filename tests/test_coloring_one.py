@@ -153,7 +153,7 @@ class TestShapes:
         # octagons' bottom sides shrink to a point and the block cannot form
         p = Params1(0.6, 120.0)
         assert derive_quantities(p).c == 0
-        with pytest.raises(DomainError, match="consecutive vertices"):
+        with pytest.raises(DomainError, match=r"no red triangle: t2 = .* <= d = 0\.6"):
             assemble_block(p)
 
 
@@ -238,11 +238,14 @@ class TestBlock:
         text = assemble_block(Params1(d, alpha1)).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED_JSON[d, alpha1]
 
-    # at (0.5, 40) the pentagon is not convex and the octagon has a short
-    # edge: the message shows that the pentagon is built first
+    # c = 0 at (0.5, 40) and (0.6, 120), so the triangle's absence is named
+    # before any cell is built; at (0.3, 40) and (0.3, 60) c > 0 and a cell's
+    # own check fails
     @pytest.mark.parametrize("d, alpha1, message", [
-        (0.5, 40.0, "polygon is not convex within tolerance"),
-        (0.6, 120.0, "consecutive vertices closer than EPS_GEOM"),
+        (0.5, 40.0, "no red triangle: t2 = 0.20708754763129572 <= d = 0.5, so c = 0"),
+        (0.6, 120.0, "no red triangle: t2 = 0.5416025603090641 <= d = 0.6, so c = 0"),
+        (0.3, 40.0, "polygon is not convex within tolerance"),
+        (0.3, 60.0, "consecutive vertices closer than EPS_GEOM"),
         (0.8, 20.0, "acos argument out of range in t1: 1.4396926207859084"),
         (0.9, 30.0, "negative sqrt argument in t2: -0.5114805770653952"),
     ])

@@ -1,5 +1,8 @@
 """Tests for the fixed pentagon/square/heptagon/hexagon coloring."""
 
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
@@ -31,10 +34,17 @@ def diameter(p):
     return polygon_max_distance(p, p)
 
 
+def point(name):
+    """The point a CELLS2 name stands for, its lattice moves added here."""
+    base, *moves = re.split("(?=[+-])", name)
+    step = {"+v1": (2.0, 0.0), "-v1": (-2.0, 0.0), "+v2": (1.0, SQRT3), "-v2": (-1.0, -SQRT3)}
+    return _heptagon_points(constants().d_max)[base] + np.sum(
+        [step[m] for m in moves] + [(0.0, 0.0)], axis=0)
+
+
 def shape(row):
-    """The cell in row `row` of CELLS2, without its shift."""
-    pts = _heptagon_points(constants().d_max)
-    return ConvexPolygon(np.array([pts[n] for n in CELLS2[row][1]]))
+    """The cell in row `row` of CELLS2."""
+    return ConvexPolygon(np.array([point(n) for n in CELLS2[row][1]]))
 
 
 class TestRoots:
@@ -79,19 +89,18 @@ class TestShapes:
             assert np.linalg.norm(pts[a] - pts[b]) == pytest.approx(1.0, abs=1e-10)
 
     def test_hexagon_centrosymmetric(self):
+        # about (1/2, sqrt 3) before its move by v1 - v2 = (1, -sqrt 3)
         v = shape(HEXAGON).vertices
-        center = np.array([0.5, SQRT3])
+        center = np.array([1.5, 0.0])
         np.testing.assert_allclose(v[:3] + v[3:], np.tile(2 * center, (3, 1)), atol=1e-12)
 
     def test_hexagon_diameter_unit(self):
         assert diameter(shape(HEXAGON)) == pytest.approx(1.0, abs=1e-10)
 
     def test_heptagon_unit_diagonals(self):
-        c = constants()
-        pts = _heptagon_points(c.d_max)
-        assemble_block2(c)  # raises if any diagonal is off
+        assemble_block2(constants())  # raises if any diagonal is off
         for a, b in HEPTAGON_UNIT_DIAGONALS:
-            assert np.linalg.norm(pts[a] - pts[b]) == pytest.approx(1.0, abs=1e-10)
+            assert np.linalg.norm(point(a) - point(b)) == pytest.approx(1.0, abs=1e-10)
 
     def test_heptagon_top_edge_is_dmax(self):
         c = constants()
@@ -105,19 +114,18 @@ class TestShapes:
         # the sides the heptagon shares with its translated neighbors must
         # match the lengths measured on the base heptagon itself
         pts = _heptagon_points(constants().d_max)
-        u2 = np.linalg.norm(pts["I4"] - pts["NNN"])
+        u2 = np.linalg.norm(pts["I4"] - point("NN+v1-v2"))
         u3 = np.linalg.norm(pts["I3"] - pts["PA"])
-        u2_again = np.linalg.norm((pts["NN"] + [1, -SQRT3]) - pts["I4"])
-        assert u2 == pytest.approx(u2_again, abs=1e-12)
         # mirror symmetry: the left-side partners have the same lengths
         assert np.linalg.norm((pts["MM"] + [-1, -SQRT3]) - pts["I1"]) == pytest.approx(
             u2, abs=1e-10)
         assert np.linalg.norm(pts["I2"] - pts["PA"]) == pytest.approx(u3, abs=1e-10)
 
     def test_pentagon_axisymmetric(self):
+        # about x = 1/2 before its move by v1 - v2 = (1, -sqrt 3)
         v = shape(PENTAGON).vertices
         mirrored = v.copy()
-        mirrored[:, 0] = 1.0 - mirrored[:, 0]
+        mirrored[:, 0] = 3.0 - mirrored[:, 0]
         got = {tuple(np.round(p, 10)) for p in v}
         want = {tuple(np.round(p, 10)) for p in mirrored}
         assert got == want
@@ -132,6 +140,12 @@ class TestBlock:
         t = assemble_block2(constants())
         assert t.cell_area() == pytest.approx(2 * SQRT3, abs=1e-12)
         assert abs(t.block_area() - t.cell_area()) < 1e-9
+
+    def test_json_bytes_pinned(self):
+        # every vertex bit of the block goes into the JSON
+        text = assemble_block2(constants()).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "347ea92816e845120d80ca42b3d32987b8b681248b311595a3a1b155c7d678aa")
 
     def test_validate_partition(self):
         assemble_block2(constants()).validate()

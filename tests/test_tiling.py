@@ -1,6 +1,8 @@
 """Tests for the partition check, the lattice neighbourhoods and tiling input."""
 
 import json
+import math
+import re
 import time
 import tracemalloc
 
@@ -9,7 +11,7 @@ import pytest
 
 from sixcoloring.coloring_one import Params1, assemble_block
 from sixcoloring.coloring_two import assemble_block2, constants
-from sixcoloring.errors import InvalidTilingError, RangeError
+from sixcoloring.errors import DomainError, InvalidTilingError, RangeError
 from sixcoloring.geom import ConvexPolygon, convex_intersection_area
 from sixcoloring.tiling import OVERLAP_AREA_TOL, ColoringType, Tiling, _lattice_offsets
 from sixcoloring.verifier import verify
@@ -164,3 +166,44 @@ class TestCellColors:
         doc["cells"][1]["color"] = "purple"
         with pytest.raises(InvalidTilingError, match="purple"):
             Tiling.from_json(json.dumps(doc))
+
+
+class TestLatticeVectors:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected_on_load(self, bad):
+        doc = json.loads(far_overlap_tiling().to_json())
+        doc["lattice"][1][0] = bad
+        with pytest.raises(InvalidTilingError, match="must be finite"):
+            Tiling.from_json(json.dumps(doc))
+
+
+class TestFromPoints:
+    """A sheared lattice cell cut into two triangles, named from one point O."""
+
+    V1, V2 = np.array([math.sqrt(2), 0.1]), np.array([0.3, math.sqrt(3)])
+    PTS = {"O": np.array([0.1, 0.7])}
+    ROWS = (("red", ("O", "O+v1", "O+v2")), ("blue", ("O+v1", "O+v1+v2", "O+v2")))
+
+    def build(self, lengths):
+        return Tiling.from_points(self.PTS, self.ROWS, self.V1, self.V2, lengths)
+
+    def test_moved_names_bits(self):
+        t = self.build([("O", "O+v2-v1", float(np.hypot(*(self.V2 - self.V1))))])
+        moved = {(a, b): self.PTS["O"] + (a * self.V1 + b * self.V2)
+                 for a, b in ((1, 0), (1, 1), (0, 1))}
+        np.testing.assert_array_equal(t.cells[0][0].vertices,
+                                      [self.PTS["O"], moved[1, 0], moved[0, 1]])
+        np.testing.assert_array_equal(t.cells[1][0].vertices,
+                                      [moved[1, 0], moved[1, 1], moved[0, 1]])
+        assert [c for _, c in t.cells] == ["red", "blue"]
+        t.validate()
+
+    def test_wrong_length_names_first_segment(self):
+        lengths = [("O", "O+v1", float(np.hypot(*self.V1))), ("O+v1", "O+v2", 1.0),
+                   ("O", "O+v2", 5.0)]
+        with pytest.raises(DomainError, match=re.escape("O+v1-O+v2 is not of length 1.0")):
+            self.build(lengths)
+
+    def test_unknown_move_rejected(self):
+        with pytest.raises(KeyError, match=r"\+v3"):
+            self.build([("O", "O+v3", 1.0)])
