@@ -8,7 +8,6 @@ geometric tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,56 +29,114 @@ def dirvec(a: float) -> np.ndarray:
     return np.array([dcos(a), dsin(a)])
 
 
-def _shoelace(vertices: np.ndarray) -> float:
-    x, y = vertices[:, 0], vertices[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+# convex_cells' messages, in the order it checks each cell
+CELL_CHECKS = ("polygon needs at least 3 planar vertices", "polygon vertices must be finite",
+               "consecutive vertices closer than EPS_GEOM",
+               "polygon is not convex within tolerance")
 
 
-@dataclass(frozen=True)
+def _succ(a: np.ndarray, axis: int) -> np.ndarray:
+    """Entry k + 1 of a at each k along axis, cyclically: a vertex's successor."""
+    return np.take(a, [*range(1, a.shape[axis]), 0], axis=axis)
+
+
+def _areas(v: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Shoelace areas of the padded polygons v (k, m, 2) with counts[r] vertices,
+    each summed over its own terms alone: the bits of np.sum unpadded."""
+    w = _succ(v, 1)
+    terms = v[..., 0] * w[..., 1] - w[..., 0] * v[..., 1]
+    return 0.5 * np.array([t[:n].sum() for t, n in zip(terms, counts.tolist())])
+
+
 class ConvexPolygon:
     """Convex polygon with vertices in counterclockwise order.
 
-    Clockwise input is silently reversed; non-convex or degenerate input
-    raises DomainError. `edge_vectors[k]` runs from vertex k to vertex k + 1
-    and `edge_lengths[k]` is its length.
+    ConvexPolygon(v) is convex_cells on a batch of one. `edge_vectors[k]` runs
+    from vertex k to vertex k + 1 and `edge_lengths[k]` is its length. All
+    three arrays are read-only.
     """
 
-    vertices: np.ndarray
+    __slots__ = ("vertices", "edge_vectors", "edge_lengths")
 
-    def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
-            raise DomainError("polygon needs at least 3 planar vertices")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("polygon vertices must be finite")
-        if _shoelace(v) < 0:
-            v = v[::-1].copy()
-        self._store(v)
-        if np.any(self.edge_lengths < EPS_GEOM):
-            raise DomainError("consecutive vertices closer than EPS_GEOM")
-        edges = self.edge_vectors
-        cross = edges[:, 0] * np.roll(edges[:, 1], -1) - edges[:, 1] * np.roll(edges[:, 0], -1)
-        if np.any(cross < -EPS_GEOM):
-            raise DomainError("polygon is not convex within tolerance")
+    def __new__(cls, vertices):
+        return convex_cells([vertices])[0][0]
 
-    def _store(self, v: np.ndarray) -> "ConvexPolygon":
-        """Keep vertices v with their edge vectors and lengths, read-only."""
-        edges = np.roll(v, -1, axis=0) - v
-        lengths = np.hypot(edges[:, 0], edges[:, 1])
-        for name, a in (("vertices", v), ("edge_vectors", edges), ("edge_lengths", lengths)):
+    @classmethod
+    def _of(cls, v: np.ndarray) -> "ConvexPolygon":
+        """The polygon with vertices v, unchecked."""
+        p = object.__new__(cls)
+        p.vertices, p.edge_vectors = v, _succ(v, 0) - v
+        p.edge_lengths = np.hypot(p.edge_vectors[:, 0], p.edge_vectors[:, 1])
+        for a in (p.vertices, p.edge_vectors, p.edge_lengths):
             a.setflags(write=False)
-            object.__setattr__(self, name, a)
-        return self
+        return p
 
     def translated(self, offset) -> "ConvexPolygon":
-        """This polygon moved by `offset`. A translation keeps orientation and
-        convexity, so the constructor's checks are not run again."""
-        moved = self.vertices + np.asarray(offset, dtype=float)
-        return object.__new__(ConvexPolygon)._store(moved)
+        """This polygon moved by `offset`, unchecked: a translation keeps
+        orientation and convexity."""
+        return ConvexPolygon._of(self.vertices + np.asarray(offset, dtype=float))
+
+    def __reduce__(self):
+        return ConvexPolygon._of, (np.array(self.vertices),)
 
 
-def polygon_area(p: ConvexPolygon) -> float:
-    return _shoelace(p.vertices)
+def convex_cells(polys) -> tuple:
+    """Check vertex arrays as convex polygons, all at once, in one padded table.
+
+    Returns (polygons, vertices, counts, areas): a ConvexPolygon per array,
+    and their counterclockwise vertices, padded by repeating vertex 0 as
+    polygon_distances takes them, with their counts and areas. Each array
+    needs at least 3 planar vertices, all finite; clockwise ones are reversed;
+    no edge may be shorter than EPS_GEOM, nor a corner turn right by more.
+    The padding adds only zero-length edges, masked out. DomainError names
+    the first failed check of the first failing array.
+    """
+    polys = [np.asarray(v, dtype=float) for v in polys]
+    counts = np.array([len(v) if v.ndim == 2 and v.shape[1] == 2 and len(v) > 2 else 0
+                       for v in polys], dtype=np.intp)
+    k, m = len(polys), max(3, counts.max(initial=0))
+    e, rows = np.arange(m), np.arange(k)[:, None]
+    real = e < counts[:, None]
+    v = np.zeros((k, m, 2))
+    for r, n in enumerate(counts.tolist()):
+        if n:
+            v[r, :n], v[r, n:] = polys[r], polys[r][0]
+    finite = np.isfinite(v).all(axis=(1, 2))
+    areas = _areas(v, counts)
+    if (areas < 0).any():
+        # a reversed row takes vertex n - 1 - e as vertex e, and pads with the new vertex 0
+        new = np.where(real, e, 0)
+        v = v[rows, np.where(areas[:, None] < 0, counts[:, None] - 1 - new, new)]
+        areas = _areas(v, counts)
+    edges = _succ(v, 1) - v
+    turn = edges[rows, np.where(e + 1 < counts[:, None], e + 1, 0)]
+    short = np.hypot(edges[..., 0], edges[..., 1]) < EPS_GEOM
+    reflex = edges[..., 0] * turn[..., 1] - edges[..., 1] * turn[..., 0] < -EPS_GEOM
+    failed = np.column_stack([counts == 0, ~finite, (real & short).any(1), (real & reflex).any(1)])
+    if failed.any():
+        raise DomainError(CELL_CHECKS[failed[failed.any(1).argmax()].argmax()])
+    v.setflags(write=False)
+    return [ConvexPolygon._of(v[r, :n]) for r, n in enumerate(counts.tolist())], v, counts, areas
+
+
+def penetration_depths(p, q):
+    """Penetration depths of the convex polygons p[k] and q[k], padded as
+    polygon_distances takes them, by the separating-axis theorem: the least
+    overlap of their projections onto the unit edge normals of both (padding
+    edges have none). They meet iff it is at least 0, and where it is
+    positive their intersection lies in a slab that wide."""
+    least = np.inf
+    for v in (p, q):
+        edges = _succ(v, 1) - v
+        length = np.hypot(edges[..., 0], edges[..., 1])
+        u = (edges / np.where(length > 0, length, 1.0)[..., None])[..., None, :]
+        # the projection onto edge e's normal is cross(u_e, w); axis 2 runs over vertices
+        (plo, phi), (qlo, qhi) = [(x.min(axis=2), x.max(axis=2)) for x in
+                                  (u[..., 0] * w[:, None, :, 1] - u[..., 1] * w[:, None, :, 0]
+                                   for w in (p, q))]
+        overlap = np.where(length > 0, np.minimum(phi, qhi) - np.maximum(plo, qlo), np.inf)
+        least = np.minimum(least, overlap.min(axis=1))
+    return least
 
 
 def polygon_distances(p, q):
@@ -91,23 +148,15 @@ def polygon_distances(p, q):
     zero-length edges (edge e runs from vertex e to e + 1), which a
     ConvexPolygon never has; masked out, they leave every result unchanged.
     """
+    # they meet where no edge normal separates them; otherwise a vertex and
+    # an edge of the other realize the minimum
+    meet = penetration_depths(p, q) >= 0
     # coordinates first: numpy reduces a leading axis of length 2 far faster
     # than a trailing one; axis 2 runs over p's vertices or edges, 3 over q's
     p, q = p.transpose(2, 0, 1), q.transpose(2, 0, 1)
-    a0, a1 = p[..., None], np.roll(p, -1, axis=2)[..., None]
-    b0, b1 = q[:, :, None], np.roll(q, -1, axis=2)[:, :, None]
+    a0, a1 = p[..., None], _succ(p, 2)[..., None]
+    b0, b1 = q[:, :, None], _succ(q, 2)[:, :, None]
     ea, eb, ab, ba = a1 - a0, b1 - b0, a0 - b0, b0 - a0
-
-    def cross(u, v):
-        return u[0] * v[1] - u[1] * v[0]
-
-    # they intersect if one holds the other's vertex 0 (on the inner side of
-    # every edge; a zero-length edge has every point on it) or two edges
-    # cross properly; otherwise a vertex and an edge of the other realize it
-    meet = ((cross(ea[..., 0], q[:, :, :1] - p) >= 0).all(axis=1)
-            | (cross(eb[:, :, 0], p[:, :, :1] - q) >= 0).all(axis=1)
-            | ((cross(ea, ba) * cross(ea, b1 - a0) < 0)
-               & (cross(eb, ab) * cross(eb, a1 - b0) < 0)).any(axis=(1, 2)))
     near = []
     for pts, s0, e, rel in ((a0, b0, eb, ab), (b0, a0, ea, ba)):
         denom = (e ** 2).sum(axis=0)
@@ -164,7 +213,5 @@ def convex_intersection_area(p: ConvexPolygon, q: ConvexPolygon) -> float:
                 t = sa / (sa - sb)
                 out.append((ax + t * (bx - ax), ay + t * (by - ay)))
         poly = out
-    if len(poly) < 3:
-        return 0.0
-    arr = np.array(poly)
-    return abs(_shoelace(arr))
+    return abs(0.5 * sum(x0 * y1 - x1 * y0
+                         for (x0, y0), (x1, y1) in zip(poly, poly[1:] + poly[:1])))

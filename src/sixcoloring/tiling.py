@@ -15,9 +15,10 @@ from .errors import DomainError, InvalidTilingError, RangeError
 from .geom import (
     EPS_GEOM,
     ConvexPolygon,
+    convex_cells,
     convex_intersection_area,
     edge_distances,
-    polygon_area,
+    penetration_depths,
     polygon_distances,
 )
 
@@ -132,15 +133,17 @@ class Tiling:
     """Colored polygons of one fundamental block plus two lattice vectors."""
 
     def __init__(self, cells, v1, v2, priority=COLORS):
-        self.cells = [(poly, str(color)) for poly, color in cells]
+        """cells: (vertices, color) pairs, the vertices a ConvexPolygon or an
+        (n, 2) array; geom.convex_cells checks them all at once."""
+        cells = list(cells)
+        polys, pv, counts, areas = convex_cells([getattr(p, "vertices", p) for p, _ in cells])
+        self.cells = [(poly, str(color)) for poly, (_, color) in zip(polys, cells)]
         # per-cell data, with the vertices padded as geom.polygon_distances takes them
-        polys = [p.vertices for p, _ in self.cells]
-        m = max(map(len, polys), default=3)
-        pv = np.array([np.vstack([v, v[[0] * (m - len(v))]]) for v in polys]).reshape(-1, m, 2)
         self.padded_vertices = pv
         self._box_lo, self._box_hi = pv.min(axis=1), pv.max(axis=1)
-        self._centers = np.array([v.mean(axis=0) for v in polys])
-        self._areas = [polygon_area(p) for p, _ in self.cells]
+        real = (np.arange(pv.shape[1]) < counts[:, None])[..., None]
+        self._centers = np.where(real, pv, 0.0).sum(axis=1) / counts[:, None]
+        self._areas = areas.tolist()
         diff = pv[:, :, None] - pv[:, None]
         self._diams = np.sqrt((diff ** 2).sum(axis=3)).max(axis=(1, 2))
         self.v1, self.v2 = np.asarray(v1, dtype=float), np.asarray(v2, dtype=float)
@@ -211,16 +214,27 @@ class Tiling:
         """Check the partition invariants; raise InvalidTilingError on failure.
 
         The block must have the lattice cell's area, and no two cell
-        translates may overlap. Cells i <= j are compared at every offset
-        that can bring them within distance 0 (see translate_pairs), but
-        only where their bounding boxes meet are they clipped.
+        translates may overlap by more than OVERLAP_AREA_TOL. Cells i <= j are
+        compared at every offset that can bring them within distance 0 (see
+        translate_pairs) where their bounding boxes meet. Their intersection
+        lies in a slab as wide as their penetration depth, raised by 8 eps
+        max(|x| + |y|) for rounding, and spans at most the smaller diameter
+        across it. A pair whose area bound is at most OVERLAP_AREA_TOL / 2
+        cannot overlap: the other half covers the clip's own rounding, for
+        cells of size near 1. Only the other pairs are clipped, in order.
         """
         if abs(self.block_area() - self.cell_area()) > EPS_GEOM:
             raise InvalidTilingError(f"block area {self.block_area()} != lattice cell area "
                                      f"{self.cell_area()}")
         pi, pj, pa, pb, gap = self.translate_pairs(*np.triu_indices(len(self.cells)), 0.0)
         meet = (gap <= 0.0) & ~((pi == pj) & (pa == 0) & (pb == 0))
-        for i, j, a, b in zip(*(x[meet].tolist() for x in (pi, pj, pa, pb))):
+        pi, pj, pa, pb = pi[meet], pj[meet], pa[meet], pb[meet]
+        p = self.padded_vertices[pi]
+        q = self.padded_vertices[pj] + (pa[:, None] * self.v1 + pb[:, None] * self.v2)[:, None]
+        size = np.maximum(abs(p).sum(axis=2).max(axis=1), abs(q).sum(axis=2).max(axis=1))
+        depth = np.maximum(penetration_depths(p, q), 0.0) + 8 * np.finfo(float).eps * size
+        clip = depth * np.minimum(self._diams[pi], self._diams[pj]) > OVERLAP_AREA_TOL / 2
+        for i, j, a, b in zip(*(x[clip].tolist() for x in (pi, pj, pa, pb))):
             q = self.cells[j][0].translated(a * self.v1 + b * self.v2)
             if convex_intersection_area(self.cells[i][0], q) > OVERLAP_AREA_TOL:
                 raise InvalidTilingError(f"cells {i} and {j} overlap")
@@ -374,15 +388,14 @@ class Tiling:
         bases, moved, a, b, cell_index, (i, j) = _name_table(rows, tuple(s[:2] for s in lengths))
         at = np.array([pts[n] for n in bases], dtype=float)
         at[moved] += a * v1 + b * v2
-        cells = [(ConvexPolygon(at[k]), color) for k, (color, _) in zip(cell_index, rows)]
+        t = cls([(at[k], color) for k, (color, _) in zip(cell_index, rows)], v1, v2)
         ok = np.abs(np.hypot(*(at[i] - at[j]).T) - [s[2] for s in lengths]) <= LENGTH_TOL
         if not ok.all():
             raise DomainError("{}-{} is not of length {}".format(*lengths[np.argmin(ok)]))
-        return cls(cells, v1, v2)
+        return t
 
     @classmethod
     def from_json(cls, text: str) -> "Tiling":
         doc = json.loads(text)
-        cells = [(ConvexPolygon(np.array(c["vertices"], dtype=float)), c["color"])
-                 for c in doc["cells"]]
+        cells = [(c["vertices"], c["color"]) for c in doc["cells"]]
         return cls(cells, doc["lattice"][0], doc["lattice"][1], tuple(doc["priority"]))

@@ -18,7 +18,7 @@ from sixcoloring.coloring_one import (
     _feasible,
 )
 from sixcoloring.errors import DomainError, RangeError
-from sixcoloring.geom import polygon_area, polygon_max_distance
+from sixcoloring.geom import polygon_max_distance
 from sixcoloring.tiling import ColoringType
 from sixcoloring.verifier import verify
 

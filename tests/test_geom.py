@@ -1,6 +1,9 @@
 """Tests for the planar geometry kernel."""
 
+import copy
 import math
+import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,12 +13,18 @@ from sixcoloring.geom import (
     ConvexPolygon,
     convex_intersection_area,
     edge_distances,
-    polygon_area,
+    penetration_depths,
     polygon_max_distance,
     polygon_min_distance,
 )
 
 UNIT_SQUARE = ConvexPolygon(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float))
+
+
+def polygon_area(p):
+    """Signed shoelace area of p's stored vertices: positive if counterclockwise."""
+    x, y = p.vertices.T
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
 def random_convex_polygon(rng, n=5):
@@ -49,6 +58,8 @@ def brute_force_min_distance(p, q):
             return np.linalg.norm(pt - (s0 + t * d))
 
         def orient(a, b, c):
+            # exact, so that collinear edges are never taken for crossing ones
+            a, b, c = ([Fraction(float(x)) for x in pt] for pt in (a, b, c))
             return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
         if (orient(a0, a1, b0) * orient(a0, a1, b1) < 0
@@ -105,6 +116,15 @@ class TestConstruction:
                 assert not getattr(moved, name).flags.writeable
 
 
+    def test_pickle_round_trip(self):
+        # cells pickle and copy (so Tilings do) and stay read-only
+        p = random_convex_polygon(np.random.default_rng(9), n=6)
+        for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+            for name in ("vertices", "edge_vectors", "edge_lengths"):
+                np.testing.assert_array_equal(getattr(q, name), getattr(p, name))
+                assert not getattr(q, name).flags.writeable
+
+
 class TestMinDistance:
     def test_translated_square_gap(self):
         assert polygon_min_distance(UNIT_SQUARE, UNIT_SQUARE.translated((3, 0))) == pytest.approx(2.0)
@@ -130,6 +150,23 @@ class TestMinDistance:
                 sampled = np.sqrt((diff ** 2).sum(axis=2)).min()
                 assert got <= sampled + 1e-12
                 assert sampled - got < 0.05  # sampling is an upper bound, close by
+
+    @pytest.mark.parametrize("angle, side, step, x0, y0", [
+        (57.0, 1.0, 3.0, -0.125, -0.5), (106.0, 1.0, 2.5, 0.0, -0.75),
+        (162.0, 0.5, 3.0, 0.375, -0.25), (204.0, 1.0, 2.5, -0.625, -0.25),
+        (211.0, 1.0, 2.0, 0.875, -0.25)])
+    def test_collinear_disjoint_edges(self, angle, side, step, x0, y0):
+        # a rotated square and its copy moved `step` sides along one of its
+        # edges: those edges lie on one line, and their cross products round
+        # to about 1e-17 with signs that once made them cross
+        c, s = math.cos(math.radians(angle)), math.sin(math.radians(angle))
+        rot = np.array([[c, -s], [s, c]])
+        sq = (np.array([[0, 0], [side, 0], [side, side], [0, side]]) + [x0, y0]) @ rot.T
+        p = ConvexPolygon(sq)
+        q = ConvexPolygon(sq + np.array([step * side, 0.0]) @ rot.T)
+        got = polygon_min_distance(p, q)
+        assert got == pytest.approx(brute_force_min_distance(p, q), abs=1e-12)
+        assert got == pytest.approx((step - 1) * side, abs=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(3)
@@ -236,6 +273,19 @@ class TestAreaAndIntersection:
                            (tri, UNIT_SQUARE, 0.25), (UNIT_SQUARE, tri, 0.25)]:
             assert convex_intersection_area(p, q) == pytest.approx(want, abs=1e-15)
             assert convex_intersection_area(q, p) == pytest.approx(want, abs=1e-15)
+
+    def test_penetration_depth_bounds_area(self):
+        # the intersection lies in a slab as wide as the depth and spans at
+        # most the smaller diameter; the depth is negative iff they are apart
+        rng = np.random.default_rng(37)
+        for _ in range(200):
+            p, q = random_convex_polygon(rng), random_convex_polygon(rng)
+            q = q.translated(p.vertices.mean(axis=0) - q.vertices.mean(axis=0)
+                             + rng.uniform(-3, 3, 2))
+            depth = penetration_depths(p.vertices[None], q.vertices[None])[0]
+            diam = min(polygon_max_distance(p, p), polygon_max_distance(q, q))
+            assert convex_intersection_area(p, q) <= max(depth, 0.0) * diam + 1e-12
+            assert (depth < 0) == (brute_force_min_distance(p, q) > 0)
 
     def test_intersection_area_against_shapely(self):
         shapely = pytest.importorskip("shapely.geometry")

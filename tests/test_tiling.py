@@ -9,7 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sixcoloring.coloring_one import Params1, assemble_block
+from sixcoloring import tiling
+from sixcoloring.coloring_one import Params1, assemble_block, default_alpha1
 from sixcoloring.coloring_two import assemble_block2, constants
 from sixcoloring.errors import DomainError, InvalidTilingError, RangeError
 from sixcoloring.geom import ConvexPolygon, convex_intersection_area
@@ -32,21 +33,38 @@ def moved_cell(t, k, shift):
     return Tiling(cells, t.v1, t.v2, t.priority)
 
 
+def clipped_translates(t, i, reach):
+    """(j, q) for every cell j and translate q = cell j + a v1 + b v2, |a|, |b|
+    <= reach, in lexicographic order, leaving out cell i itself and the
+    translates whose bounding boxes are apart from cell i's: those cannot
+    overlap it."""
+    p = t.cells[i][0].vertices
+    ab = np.array([(a, b) for a in range(-reach, reach + 1) for b in range(-reach, reach + 1)])
+    off = ab[:, :1] * t.v1 + ab[:, 1:] * t.v2
+    for j, (q, _) in enumerate(t.cells):
+        near = ((q.vertices.min(axis=0) + off <= p.max(axis=0)).all(axis=1)
+                & (p.min(axis=0) <= q.vertices.max(axis=0) + off).all(axis=1))
+        for (a, b), o in zip(ab[near].tolist(), off[near]):
+            if (j, a, b) != (i, 0, 0):
+                yield j, q.translated(o)
+
+
 def brute_force_validate(t, reach=3):
     """Reference partition check: clip every cell pair i <= j at every offset
-    with |a|, |b| <= reach, in the order Tiling.validate reports."""
+    with |a|, |b| <= reach whose bounding boxes meet, in the order
+    Tiling.validate reports."""
     if abs(t.block_area() - t.cell_area()) > 1e-9:
         return "area"
     for i, (p, _) in enumerate(t.cells):
-        for j in range(i, len(t.cells)):
-            for a in range(-reach, reach + 1):
-                for b in range(-reach, reach + 1):
-                    if i == j and a == b == 0:
-                        continue
-                    q = t.cells[j][0].translated(a * t.v1 + b * t.v2)
-                    if convex_intersection_area(p, q) > OVERLAP_AREA_TOL:
-                        return f"cells {i} and {j} overlap"
+        for j, q in clipped_translates(t, i, reach):
+            if j >= i and convex_intersection_area(p, q) > OVERLAP_AREA_TOL:
+                return f"cells {i} and {j} overlap"
     return None
+
+
+def largest_overlap(t, k):
+    """The largest clip area of cell k with another cell translate."""
+    return max(convex_intersection_area(t.cells[k][0], q) for _, q in clipped_translates(t, k, 1))
 
 
 def validate_outcome(t):
@@ -66,6 +84,7 @@ class TestValidate:
             t.validate()
 
     def test_matches_brute_force(self):
+        start = time.perf_counter()
         # coloring 1 inside and outside its feasible band, and coloring 2
         c1 = [assemble_block(Params1(d, a))
               for d in (0.36, 0.45, 0.50) for a in (106.0, 120.0, 140.0)]
@@ -73,10 +92,46 @@ class TestValidate:
         # moving one cell keeps the block area but makes it overlap a neighbour
         moved = [moved_cell(t, k, shift) for t in (c1[4], t2)
                  for k in (0, 3) for shift in ((0.05, 0.0), (0.0, -0.2))]
-        cases = c1 + [t2, far_overlap_tiling()] + moved
+        # every cell of both colorings moved in three directions, from 1e-9
+        # to 1e-3 and so that its largest overlap is 0.6 and 1.6 times
+        # OVERLAP_AREA_TOL: on both sides of the screen's and the clip's
+        # thresholds. For shifts this small the overlap grows linearly. In
+        # the thin strips an overlap nearly fills the screen's area bound.
+        strips = Tiling([(box(0.0, 1.0, 0.0, 0.01), "red"), (box(0.0, 1.0, 0.01, 0.02), "blue")],
+                        (1.0, 0.0), (0.0, 0.02))
+        near = []
+        for t in (c1[4], t2, strips):
+            for k in range(len(t.cells)):
+                for angle in (20.0, 140.0, 260.0):
+                    u = np.array([math.cos(math.radians(angle)), math.sin(math.radians(angle))])
+                    moved += [moved_cell(t, k, s * u) for s in (1e-9, 1e-7, 1e-5, 1e-3)]
+                    rate = largest_overlap(moved_cell(t, k, 1e-6 * u), k) / 1e-6
+                    near += [(moved_cell(t, k, f * OVERLAP_AREA_TOL / rate * u), k, f)
+                             for f in (0.6, 1.6)]
+        for t, k, f in near:
+            assert largest_overlap(t, k) / OVERLAP_AREA_TOL == pytest.approx(f, rel=0.1)
+        cases = c1 + [t2, far_overlap_tiling()] + moved + [t for t, _, _ in near]
         outcomes = [brute_force_validate(t) for t in cases]
         assert None in outcomes and any(o and "overlap" in o for o in outcomes)
         assert [validate_outcome(t) for t in cases] == outcomes
+        assert [o is None for o in outcomes[-len(near):]] == [f < 1 for _, _, f in near]
+        assert time.perf_counter() - start < 10
+
+    @pytest.mark.parametrize("which", ["coloring 1", "coloring 2"])
+    def test_valid_colorings_clip_nothing(self, which, monkeypatch):
+        # the screen rules out every pair of a valid coloring, so validate
+        # makes no clip: a count, not a time
+        t = (assemble_block(Params1(0.45, default_alpha1(0.45))) if which == "coloring 1"
+             else assemble_block2(constants()))
+        calls = []
+
+        def counted(p, q):
+            calls.append((p, q))
+            return convex_intersection_area(p, q)
+
+        monkeypatch.setattr(tiling, "convex_intersection_area", counted)
+        t.validate()
+        assert calls == []
 
 
 class TestLatticeOffsets:

@@ -233,6 +233,13 @@ class TestColorings:
         assert not report.valid
         assert report.witnesses  # square diameter d_min exceeds 0.3
 
+    def test_collinear_edges_do_not_cross(self):
+        # blue cell 2 and its translate by v2 have an edge each on one line,
+        # 1.09 apart; their cross products round to about 1e-17, either sign
+        p = Params1(0.5066458200085932, 117.55837612933705)
+        report = verify(assemble_block(p), ColoringType.unit_except(red=p.d))
+        assert report.verdict == "valid"
+
     def test_witnesses_sorted(self):
         report = verify(assemble_block2(constants()), ColoringType.unit_except(red=0.3))
         keys = [(w.color, w.pair, w.offset) for w in report.witnesses]
