@@ -87,7 +87,6 @@ def cmd_scan(args) -> int:
 
 
 def cmd_render(args) -> int:
-    tiling = _build_tiling(args.coloring, args.d, args.alpha1)
     radii = [(1.0, DASH_UNIT), (args.d, DASH_AVOID)]
     if args.coloring == 2:
         radii.append((coloring_two.constants().d_min, DASH_MIN))
@@ -95,10 +94,10 @@ def cmd_render(args) -> int:
     for spec in args.overlay or []:
         parts = [float(x) for x in spec.split(",")]
         if len(parts) < 2:
-            print(f"bad overlay {spec!r}: need x,y[,r...]", file=sys.stderr)
-            return EXIT_ERROR
+            raise ValueError(f"bad overlay {spec!r}: need x,y[,r...]")
         r = [(rr, DASH_AVOID) for rr in parts[2:]] or radii
         overlays.append(Overlay(center=(parts[0], parts[1]), radii=tuple(r)))
+    tiling = _build_tiling(args.coloring, args.d, args.alpha1)
     spec = RenderSpec(viewport=args.viewport, scale=args.scale, overlays=tuple(overlays))
     lines = svg_lines(tiling, spec)
     with open(args.out, "w") as fh:

@@ -49,14 +49,12 @@ def _areas(v: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 class ConvexPolygon:
-    """Convex polygon with vertices in counterclockwise order.
+    """Convex polygon with vertices in counterclockwise order, read-only.
 
-    ConvexPolygon(v) is convex_cells on a batch of one. `edge_vectors[k]` runs
-    from vertex k to vertex k + 1 and `edge_lengths[k]` is its length. All
-    three arrays are read-only.
+    ConvexPolygon(v) is convex_cells on a batch of one.
     """
 
-    __slots__ = ("vertices", "edge_vectors", "edge_lengths")
+    __slots__ = ("vertices",)
 
     def __new__(cls, vertices):
         return convex_cells([vertices])[0][0]
@@ -65,10 +63,8 @@ class ConvexPolygon:
     def _of(cls, v: np.ndarray) -> "ConvexPolygon":
         """The polygon with vertices v, unchecked."""
         p = object.__new__(cls)
-        p.vertices, p.edge_vectors = v, _succ(v, 0) - v
-        p.edge_lengths = np.hypot(p.edge_vectors[:, 0], p.edge_vectors[:, 1])
-        for a in (p.vertices, p.edge_vectors, p.edge_lengths):
-            a.setflags(write=False)
+        p.vertices = v
+        v.setflags(write=False)
         return p
 
     def translated(self, offset) -> "ConvexPolygon":
@@ -176,13 +172,16 @@ def polygon_max_distance(p: ConvexPolygon, q: ConvexPolygon) -> float:
 def edge_distances(pts: np.ndarray, p: ConvexPolygon) -> np.ndarray:
     """Signed distances (n, E) from points (n, 2) to the lines through p's
     edges: positive on the inner side, so a point is in p iff all are >= 0.
+    Edge k runs from vertex k to vertex k + 1.
 
     Evaluated on (E, n) rows, coordinates first, and returned as their
     transpose: a trailing axis of length 2 would cost an inner loop per point.
     """
     x, y = pts.T
-    v, e = p.vertices.T[..., None], p.edge_vectors.T[..., None]
-    return ((e[0] * (y - v[1]) - e[1] * (x - v[0])) / p.edge_lengths[:, None]).T
+    e = _succ(p.vertices, 0) - p.vertices
+    v, length = p.vertices.T[..., None], np.hypot(e[:, 0], e[:, 1])
+    e = e.T[..., None]
+    return ((e[0] * (y - v[1]) - e[1] * (x - v[0])) / length[:, None]).T
 
 
 def polygon_min_distance(p: ConvexPolygon, q: ConvexPolygon) -> float:

@@ -14,7 +14,6 @@ import numpy as np
 from .errors import DomainError, InvalidTilingError, RangeError
 from .geom import (
     EPS_GEOM,
-    ConvexPolygon,
     convex_cells,
     convex_intersection_area,
     edge_distances,
@@ -138,14 +137,13 @@ class Tiling:
         cells = list(cells)
         polys, pv, counts, areas = convex_cells([getattr(p, "vertices", p) for p, _ in cells])
         self.cells = [(poly, str(color)) for poly, (_, color) in zip(polys, cells)]
-        # per-cell data, with the vertices padded as geom.polygon_distances takes them
+        # per-cell data: the vertices padded as geom.polygon_distances takes
+        # them, and the bounding boxes with their centres and diagonals
         self.padded_vertices = pv
-        self._box_lo, self._box_hi = pv.min(axis=1), pv.max(axis=1)
-        real = (np.arange(pv.shape[1]) < counts[:, None])[..., None]
-        self._centers = np.where(real, pv, 0.0).sum(axis=1) / counts[:, None]
+        self.box_lo, self.box_hi = pv.min(axis=1), pv.max(axis=1)
+        self._box_centres = (self.box_lo + self.box_hi) / 2
+        self._box_diags = np.hypot(*(self.box_hi - self.box_lo).T)
         self._areas = areas.tolist()
-        diff = pv[:, :, None] - pv[:, None]
-        self._diams = np.sqrt((diff ** 2).sum(axis=3)).max(axis=(1, 2))
         self.v1, self.v2 = np.asarray(v1, dtype=float), np.asarray(v2, dtype=float)
         if not (np.isfinite(self.v1).all() and np.isfinite(self.v2).all()):
             raise InvalidTilingError(f"lattice vectors {v1}, {v2} must be finite")
@@ -155,6 +153,8 @@ class Tiling:
             raise InvalidTilingError(f"cell colors {sorted(unknown)} are not in the priority")
         if abs(self.cell_area()) <= 0:
             raise InvalidTilingError("lattice vectors are linearly dependent")
+        self._L = np.column_stack([self.v1, self.v2])
+        self._Linv = np.linalg.inv(self._L)
         self._locator = None
 
     def cell_area(self) -> float:
@@ -163,77 +163,73 @@ class Tiling:
     def block_area(self) -> float:
         return sum(self._areas)
 
-    def translate_pairs(self, pi, pj, pad):
-        """The candidate translate pairs of the cell pairs (pi[k], pj[k]).
+    def translates_near(self, lo, hi, pad, cells):
+        """Integer arrays row, a, b: for each row k, every offset (a, b) at
+        which the bounding box of cell cells[k], moved by a v1 + b v2, comes
+        within pad[k] (or a scalar pad) of the box [lo[k], hi[k]], in row
+        order and then lexicographically.
 
-        For each pair (i, j) of the integer arrays pi, pj and the matching
-        entry of `pad` (a scalar or one per pair), every offset (a, b) with
-        |a v1 + b v2| <= pad + diam_i + diam_j + |c_i - c_j|, c being a
-        cell's vertex mean: since
-        dist(P_i, P_j + off) >= |off| - |c_i - c_j| - diam_i - diam_j, the
-        offsets left out keep the two cells more than pad apart. Returns the
-        integer arrays i, j, a, b, ordered by pair and then lexicographically
-        by offset, and the distance between the bounding box of cell i and
-        that of cell j moved by a v1 + b v2.
+        Such a moved box has its centre within pad + both half diagonals of
+        [lo[k], hi[k]]'s centre. So the offsets lie in the disk of that
+        radius plus |c - n| around n, the lattice point nearest the
+        difference c of the two box centres. The coordinates in play are
+        below |lo| + |hi| + |c|, and 16 eps of that bounds the rounding of c,
+        n and the moved boxes. One disk from _lattice_offsets, of the largest
+        radius, serves every row, so MAX_OFFSETS bounds the query wherever
+        the boxes lie.
         """
-        dc = self._centers[pi] - self._centers[pj]
-        shift = np.sqrt(np.vecdot(dc, dc))
-        radius = np.asarray(pad, dtype=float) + self._diams[pi] + self._diams[pj] + shift
-        a, b, length = _lattice_offsets(self.v1, self.v2, float(radius.max(initial=0.0)))
-        pair, k = np.nonzero(length[None, :] <= radius[:, None])
-        i, j, a, b = pi[pair], pj[pair], a[k], b[k]
-        off = a[:, None] * self.v1 + b[:, None] * self.v2
-        lo, hi = self._box_lo, self._box_hi
-        return i, j, a, b, _box_gap(lo[i], hi[i], lo[j] + off, hi[j] + off)
+        lo, hi = (np.asarray(x, dtype=float).reshape(-1, 2) for x in (lo, hi))
+        pad, cells = np.asarray(pad, dtype=float).reshape(-1, 1), np.asarray(cells)
+        c = (lo + hi) / 2 - self._box_centres[cells]
+        n = np.rint(c @ self._Linv.T)
+        radius = pad[:, 0] + (np.hypot(*(hi - lo).T) + self._box_diags[cells]) / 2 \
+            + np.hypot(*(c - n @ self._L.T).T)
+        size = (abs(lo) + abs(hi) + abs(c)).max(initial=0.0)
+        radius = radius.max(initial=0.0) + 16 * np.finfo(float).eps * size
+        a, b, _ = _lattice_offsets(self.v1, self.v2, float(radius))
+        n = n.astype(np.int64)
+        a, b = a + n[:, :1], b + n[:, 1:]
+        off = a[..., None] * self.v1 + b[..., None] * self.v2
+        # moved box corners are the moved vertices' extremes: rounding is monotone
+        lo2, hi2 = self.box_lo[cells, None] + off, self.box_hi[cells, None] + off
+        row, k = np.nonzero(_box_gap(lo[:, None], hi[:, None], lo2, hi2) <= pad)
+        return row, a[row, k], b[row, k]
 
     def translates_meeting(self, lo, hi, pad):
         """Integer arrays cell, a, b of every cell translate whose bounding box
         comes within `pad` of the box [lo, hi], ordered by cell and offset.
-
-        The offsets come from _lattice_offsets on a disk around the lattice
-        point nearest the box, wide enough for the farthest cell box, so
-        MAX_OFFSETS bounds the query wherever the box lies.
-        """
-        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        near = np.rint(np.linalg.solve(np.column_stack([self.v1, self.v2]), (lo + hi) / 2))
-        # cell box centres seen from the box centre, moved by near
-        rel = (self._box_lo + self._box_hi - lo - hi) / 2 + near @ np.array([self.v1, self.v2])
-        reach = np.hypot(*rel.T) + np.hypot(*(self._box_hi - self._box_lo).T) / 2
-        a, b, _ = _lattice_offsets(self.v1, self.v2, pad + np.hypot(*(hi - lo)) / 2 + reach.max())
-        a, b = a + int(near[0]), b + int(near[1])
-        off = a[:, None] * self.v1 + b[:, None] * self.v2
-        # moved box corners are the moved vertices' extremes: rounding is
-        # monotone; one cell at a time keeps the temporaries to one per offset
-        k = [np.flatnonzero(_box_gap(lo, hi, box_lo + off, box_hi + off) <= pad)
-             for box_lo, box_hi in zip(self._box_lo, self._box_hi)]
-        cell = np.repeat(np.arange(len(k)), [len(x) for x in k])
-        k = np.concatenate(k)
-        return cell, a[k], b[k]
+        It asks translates_near one cell at a time, which keeps the
+        temporaries to one per offset."""
+        found = [self.translates_near(lo, hi, pad, [k])[1:] for k in range(len(self.cells))]
+        cell = np.repeat(np.arange(len(found)), [len(a) for a, _ in found])
+        return cell, *(np.concatenate(x) for x in zip(*found))
 
     def validate(self) -> None:
         """Check the partition invariants; raise InvalidTilingError on failure.
 
         The block must have the lattice cell's area, and no two cell
         translates may overlap by more than OVERLAP_AREA_TOL. Cells i <= j are
-        compared at every offset that can bring them within distance 0 (see
-        translate_pairs) where their bounding boxes meet. Their intersection
-        lies in a slab as wide as their penetration depth, raised by 8 eps
-        max(|x| + |y|) for rounding, and spans at most the smaller diameter
-        across it. A pair whose area bound is at most OVERLAP_AREA_TOL / 2
-        cannot overlap: the other half covers the clip's own rounding, for
-        cells of size near 1. Only the other pairs are clipped, in order.
+        compared at every offset where their bounding boxes meet (see
+        translates_near). Their intersection lies in a slab as wide as their
+        penetration depth, raised by 8 eps max(|x| + |y|) for rounding, and
+        spans at most the smaller box diagonal across it. A pair whose area
+        bound is at most OVERLAP_AREA_TOL / 2 cannot overlap: the other half
+        covers the clip's own rounding, for cells of size near 1. Only the
+        other pairs are clipped, in order.
         """
         if abs(self.block_area() - self.cell_area()) > EPS_GEOM:
             raise InvalidTilingError(f"block area {self.block_area()} != lattice cell area "
                                      f"{self.cell_area()}")
-        pi, pj, pa, pb, gap = self.translate_pairs(*np.triu_indices(len(self.cells)), 0.0)
-        meet = (gap <= 0.0) & ~((pi == pj) & (pa == 0) & (pb == 0))
+        pi, pj = np.triu_indices(len(self.cells))
+        row, pa, pb = self.translates_near(self.box_lo[pi], self.box_hi[pi], 0.0, pj)
+        pi, pj = pi[row], pj[row]
+        meet = ~((pi == pj) & (pa == 0) & (pb == 0))
         pi, pj, pa, pb = pi[meet], pj[meet], pa[meet], pb[meet]
         p = self.padded_vertices[pi]
         q = self.padded_vertices[pj] + (pa[:, None] * self.v1 + pb[:, None] * self.v2)[:, None]
         size = np.maximum(abs(p).sum(axis=2).max(axis=1), abs(q).sum(axis=2).max(axis=1))
         depth = np.maximum(penetration_depths(p, q), 0.0) + 8 * np.finfo(float).eps * size
-        clip = depth * np.minimum(self._diams[pi], self._diams[pj]) > OVERLAP_AREA_TOL / 2
+        clip = depth * np.minimum(self._box_diags[pi], self._box_diags[pj]) > OVERLAP_AREA_TOL / 2
         for i, j, a, b in zip(*(x[clip].tolist() for x in (pi, pj, pa, pb))):
             q = self.cells[j][0].translated(a * self.v1 + b * self.v2)
             if convex_intersection_area(self.cells[i][0], q) > OVERLAP_AREA_TOL:
@@ -257,10 +253,8 @@ class Tiling:
         unresolved buckets hold len(priority). rank_at_many gives the
         argument that makes both sound.
         """
-        L = np.column_stack([self.v1, self.v2])
-        Linv = np.linalg.inv(L)
+        L = self._L
         corners = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float) @ L.T
-        base = ConvexPolygon(corners)
         g = LOCATE_GRID
         nc = len(self.priority)
         # grid point (i, j) at fractional coordinates (i / g, j / g)
@@ -271,7 +265,7 @@ class Tiling:
         candidates, listed = [], []
         cell, a, b = self.translates_meeting(corners.min(axis=0), corners.max(axis=0), EPS_GEOM)
         off = a[:, None] * self.v1 + b[:, None] * self.v2
-        gap, _ = polygon_distances(self.padded_vertices[cell] + off[:, None], base.vertices[None])
+        gap, _ = polygon_distances(self.padded_vertices[cell] + off[:, None], corners[None])
         for k, o in zip(cell[gap <= EPS_GEOM].tolist(), off[gap <= EPS_GEOM]):
             t, color = self.cells[k][0].translated(o), self.cells[k][1]
             r = self.priority.index(color)
@@ -283,7 +277,7 @@ class Tiling:
             resolved &= inside | outside
             bucket_rank[inside] = np.minimum(bucket_rank[inside], r)
         bucket_rank[~resolved] = nc
-        self._locator = _Locator(L, Linv, candidates, listed, bucket_rank.ravel())
+        self._locator = _Locator(L, self._Linv, candidates, listed, bucket_rank.ravel())
         return self._locator
 
     def rank_at_many(self, pts: np.ndarray):

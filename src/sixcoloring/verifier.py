@@ -62,27 +62,24 @@ def _pair_table(t: Tiling, ct: ColoringType) -> tuple:
     """Every relevant same-color translate pair, as arrays color, i, j, a, b,
     d, mn, mx: cells i and j, the lattice offset (a, b) applied to cell j, the
     pair's color and avoided distance d, and the realized distance interval
-    [mn, mx] where the bounding boxes are at most d + BINDING_TOL apart, so
-    every interval within BINDING_TOL >= VIOLATION_TOL of d is there;
-    elsewhere mn and mx are NaN, so no comparison with them holds."""
+    [mn, mx]. The pairs are those whose bounding boxes are at most
+    d + BINDING_TOL apart, so every interval within BINDING_TOL >=
+    VIOLATION_TOL of d is there."""
     _check_colors(t, ct)
     colors = np.array([color for _, color in t.cells], dtype=object)
     dist = np.array([ct.distances[color] for color in colors], dtype=float)
     pi, pj = np.triu_indices(len(colors))
     same = colors[pi] == colors[pj]
-    # offsets farther than d + diameters + center shift cannot realize d
-    i, j, a, b, gap = t.translate_pairs(pi[same], pj[same], dist[pi[same]])
+    pi, pj = pi[same], pj[same]
+    row, a, b = t.translates_near(t.box_lo[pi], t.box_hi[pi], dist[pi] + BINDING_TOL, pj)
+    i, j = pi[row], pj[row]
     # self-pairs: offsets come in +- pairs, so only the non-negative half
     keep = (i != j) | (a > 0) | ((a == 0) & (b >= 0))
-    i, j, a, b, gap = (x[keep] for x in (i, j, a, b, gap))
-    d = dist[i]
-    mn, mx = np.full(len(i), np.nan), np.full(len(i), np.nan)
-    near = gap <= d + BINDING_TOL
-    off = a[near, None] * t.v1 + b[near, None] * t.v2
+    i, j, a, b = i[keep], j[keep], a[keep], b[keep]
+    off = a[:, None] * t.v1 + b[:, None] * t.v2
     # a cell meets itself at its vertex 0, so its minimum is exactly 0
-    mn[near], mx[near] = polygon_distances(t.padded_vertices[i[near]],
-                                           t.padded_vertices[j[near]] + off[:, None])
-    return colors[i], i, j, a, b, d, mn, mx
+    mn, mx = polygon_distances(t.padded_vertices[i], t.padded_vertices[j] + off[:, None])
+    return colors[i], i, j, a, b, dist[i], mn, mx
 
 
 def _witnesses(table: tuple, ct: ColoringType, mask: np.ndarray) -> list:

@@ -328,7 +328,7 @@ class TestRender:
                     "--out", str(out)]) == EXIT_ERROR
         assert str(out) in capsys.readouterr().err
 
-    def test_bad_overlay(self, tmp_path):
+    def test_bad_overlay(self, tmp_path, capsys):
         # too few numbers, a non-finite centre, non-finite or non-positive radii
         for overlay in ("0.5", "nan,0", "0,0,-1", "0,0,inf", "0,0,0"):
             out = tmp_path / "f.svg"
@@ -336,6 +336,14 @@ class TestRender:
                         "--viewport", "0,0,1,1", "--overlay", overlay,
                         "--out", str(out)]) == EXIT_ERROR
             assert not out.exists()
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert ("error: bad overlay '0.5': need x,y[,r...]" in err) == (overlay == "0.5")
+        # the overlays are read before the tiling is built, which fails here
+        assert run(["render", "--coloring", "1", "--d", "0.6", "--alpha1", "120",
+                    "--viewport", "0,0,1,1", "--overlay", "0.5", "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: bad overlay '0.5': need x,y[,r...]\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("coloring", [1, 2])
     @pytest.mark.parametrize("viewport", [(-2, -2, 3, 3), (1000, 1000, 1001, 1001),

@@ -96,7 +96,8 @@ class TestDerivedQuantities:
         q = derive_quantities(Params1(d, default_alpha1(d)))
         [(tri, color)] = cells_with(d, default_alpha1(d), 3)
         assert color == "red"
-        np.testing.assert_allclose(tri.edge_lengths, q.s4, rtol=0, atol=1e-12)
+        edges = np.roll(tri.vertices, -1, axis=0) - tri.vertices
+        np.testing.assert_allclose(np.hypot(*edges.T), q.s4, rtol=0, atol=1e-12)
 
 
 # every copy of a shape in the block: 3 pentagons, 3 octagons, 2 hexagons

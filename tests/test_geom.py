@@ -43,7 +43,8 @@ def random_convex_polygon(rng, n=5):
 
 def sample_boundary(p, per_edge=2000):
     ts = np.linspace(0, 1, per_edge, endpoint=False)[:, None]
-    segs = [v0 + ts * e for v0, e in zip(p.vertices, p.edge_vectors)]
+    edges = np.roll(p.vertices, -1, axis=0) - p.vertices
+    segs = [v0 + ts * e for v0, e in zip(p.vertices, edges)]
     return np.vstack(segs)
 
 
@@ -111,18 +112,16 @@ class TestConstruction:
             off = rng.normal(size=2) * 10.0 ** rng.integers(-3, 3)
             moved = p.translated(off)
             built = ConvexPolygon(p.vertices + off)
-            for name in ("vertices", "edge_vectors", "edge_lengths"):
-                np.testing.assert_array_equal(getattr(moved, name), getattr(built, name))
-                assert not getattr(moved, name).flags.writeable
+            np.testing.assert_array_equal(moved.vertices, built.vertices)
+            assert not moved.vertices.flags.writeable
 
 
     def test_pickle_round_trip(self):
         # cells pickle and copy (so Tilings do) and stay read-only
         p = random_convex_polygon(np.random.default_rng(9), n=6)
         for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
-            for name in ("vertices", "edge_vectors", "edge_lengths"):
-                np.testing.assert_array_equal(getattr(q, name), getattr(p, name))
-                assert not getattr(q, name).flags.writeable
+            np.testing.assert_array_equal(q.vertices, p.vertices)
+            assert not q.vertices.flags.writeable
 
 
 class TestMinDistance:
@@ -231,8 +230,9 @@ class TestEdgeDistances:
         for _ in range(20):
             p = random_convex_polygon(rng)
             pts = rng.uniform(-5, 5, (50, 2))
-            v, e = p.vertices, p.edge_vectors
-            normal = np.column_stack([-e[:, 1], e[:, 0]]) / p.edge_lengths[:, None]
+            v = p.vertices
+            e = np.roll(v, -1, axis=0) - v
+            normal = np.column_stack([-e[:, 1], e[:, 0]]) / np.hypot(*e.T)[:, None]
             want = ((pts[:, None, :] - v[None, :, :]) * normal[None, :, :]).sum(axis=2)
             np.testing.assert_allclose(edge_distances(pts, p), want, atol=1e-12)
             assert (edge_distances(v.mean(axis=0)[None, :], p) > 0).all()

@@ -2,7 +2,10 @@
 every name it defines is used somewhere."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -94,3 +97,18 @@ def test_detects_orphans():
               "def used():\n    return A\nclass C:\n    pass\nD = E = os.sep\n")
     refs = referenced_names(source) | referenced_names("x.used\ngetattr(m, 'pkg.E')\n")
     assert orphans(source, refs) == ["B", "C", "D"]
+
+
+def test_import_loads_no_heavy_package():
+    # set-up time is the import plus constants(); these test-only packages
+    # would each add to it
+    src = str(PACKAGE.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, sixcoloring, sixcoloring.cli\n"
+            "print(sorted({m.split('.')[0] for m in sys.modules}))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    loaded = set(ast.literal_eval(proc.stdout))
+    assert "sixcoloring" in loaded and "numpy" in loaded
+    assert loaded & {"scipy", "sympy", "mpmath", "hypothesis", "shapely"} == set()

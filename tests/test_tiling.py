@@ -195,19 +195,28 @@ class TestTranslatesMeeting:
         return found
 
     def test_matches_square_loop(self):
-        # boxes of up to 3 x 3 anywhere in a 200 x 200 square, near and apart
+        # boxes of up to 3 x 3 anywhere in a 200 x 200 square, near and apart,
+        # and out near 1e16, where coordinates are rounded to 2
         rng = np.random.default_rng(23)
         tilings = [assemble_block(Params1(0.45, 120.0)), assemble_block2(constants()),
                    far_overlap_tiling()]
         for t in tilings:
             for pad in (0.0, 1e-9, 0.4):
-                for _ in range(6):
-                    lo = rng.uniform(-100, 100, 2)
+                for scale in [100.0] * 6 + [1e16] * 3:
+                    lo = rng.uniform(-scale, scale, 2)
                     hi = lo + rng.uniform(0, 3, 2)
                     cell, a, b = t.translates_meeting(lo, hi, pad)
                     assert list(zip(cell.tolist(), a.tolist(), b.tolist())) == \
                         self.square_loop(t, lo, hi, pad)
                     assert len(cell) > 0 or t is tilings[-1]  # its cells leave gaps
+                # the pair form: every cell's own box against every cell, a pad per row
+                pi, pj = (x.ravel() for x in np.indices((len(t.cells),) * 2))
+                pads = np.full(len(pi), pad)
+                row, a, b = t.translates_near(t.box_lo[pi], t.box_hi[pi], pads, pj)
+                for i, (p, _) in enumerate(t.cells):
+                    mine = pi[row] == i
+                    assert list(zip(pj[row][mine].tolist(), a[mine].tolist(), b[mine].tolist())) \
+                        == self.square_loop(t, p.vertices.min(axis=0), p.vertices.max(axis=0), pad)
 
     def test_huge_box_rejected(self):
         t2 = assemble_block2(constants())

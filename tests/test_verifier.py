@@ -1,6 +1,5 @@
 """Tests for the distance-avoidance verifier and Monte Carlo cross-check."""
 
-import math
 import re
 
 import numpy as np
@@ -115,34 +114,33 @@ def overlapping_tiling():
     return Tiling([(orange, "orange"), (red, "red")], v1, v2)
 
 
-def scalar_intervals(t, ct, reach):
+def scalar_intervals(t, ct, reach=4):
     """(color, d, i, j, offset, interval) of every same-color translate pair
-    that Tiling.translate_pairs lists, from one ConvexPolygon and one scalar
-    distance call per translate; interval is None where the bounding boxes
-    are more than d + reach apart."""
-    by_color = {}
-    for idx, (_, color) in enumerate(t.cells):
-        by_color.setdefault(color, []).append(idx)
-    pairs = np.array([(i, j) for idxs in by_color.values()
-                      for ii, i in enumerate(idxs) for j in idxs[ii:]])
-    pad = [ct.distances[t.cells[i][1]] for i in pairs[:, 0]]
-    candidates = t.translate_pairs(pairs[:, 0], pairs[:, 1], pad)
-    for i, j, a, b, gap in zip(*(x.tolist() for x in candidates)):
-        if i == j and (a, b) < (0, 0):
-            continue  # offsets of a cell to itself come in +- pairs
-        color = t.cells[i][1]
+    whose bounding boxes are at most d + BINDING_TOL apart, from a loop over
+    the offsets |a|, |b| <= reach and one ConvexPolygon and one scalar
+    distance call per pair. It asserts that no such pair lies on the loop's
+    edge, so the loop reaches every one."""
+    for i, (p, color) in enumerate(t.cells):
         d = ct.distances[color]
-        if gap > d + reach:
-            yield color, d, i, j, (a, b), None
-            continue
-        p, q = t.cells[i][0], t.cells[j][0].translated(a * t.v1 + b * t.v2)
-        mn = 0.0 if i == j and a == b == 0 else polygon_min_distance(p, q)
-        yield color, d, i, j, (a, b), (mn, polygon_max_distance(p, q))
+        lo, hi = p.vertices.min(axis=0), p.vertices.max(axis=0)
+        for j in [j for j, (_, c) in enumerate(t.cells) if j >= i and c == color]:
+            for a in range(-reach, reach + 1):
+                for b in range(-reach, reach + 1):
+                    if i == j and (a, b) < (0, 0):
+                        continue  # offsets of a cell to itself come in +- pairs
+                    q = t.cells[j][0].translated(a * t.v1 + b * t.v2)
+                    gap = np.maximum(0.0, np.maximum(q.vertices.min(axis=0) - hi,
+                                                     lo - q.vertices.max(axis=0)))
+                    if np.hypot(*gap) > d + BINDING_TOL:
+                        continue
+                    assert max(abs(a), abs(b)) < reach
+                    mn = 0.0 if i == j and a == b == 0 else polygon_min_distance(p, q)
+                    yield color, d, i, j, (a, b), (mn, polygon_max_distance(p, q))
 
 
-def per_pair_verify(t, ct, strictness):
+def per_pair_verify(t, ct, strictness, reach=4):
     witnesses, pairs, translates = [], 0, set()
-    for color, d, i, j, offset, interval in scalar_intervals(t, ct, math.inf):
+    for color, d, i, j, offset, interval in scalar_intervals(t, ct, reach):
         pairs += 1
         translates.add(offset)
         mn, mx = interval
@@ -158,8 +156,8 @@ def per_pair_verify(t, ct, strictness):
 
 def per_pair_critical_witnesses(t, ct):
     return sorted((Witness(color, (i, j), offset, interval, d)
-                   for color, d, i, j, offset, interval in scalar_intervals(t, ct, BINDING_TOL)
-                   if interval is not None and min(abs(x - d) for x in interval) <= BINDING_TOL),
+                   for color, d, i, j, offset, interval in scalar_intervals(t, ct)
+                   if min(abs(x - d) for x in interval) <= BINDING_TOL),
                   key=lambda w: (w.color, w.pair, w.offset))
 
 
@@ -312,7 +310,7 @@ class TestPairTable:
                    (2.5, 0.0), (0.0, 1.0))
         ct = ColoringType(distances={"red": 0.5 - 5e-10, "blue": 7.0})
         report = verify(t, ct, strictness="closed")
-        assert report == per_pair_verify(t, ct, "closed")
+        assert report == per_pair_verify(t, ct, "closed", reach=9)  # blue reaches 7 strips up
         w = next(w for w in report.witnesses if w.pair == (0, 2) and w.offset == (0, 0))
         assert w.interval[0] == 0.5
         assert not any(w.pair == (0, 2) and w.offset == (0, 0)
