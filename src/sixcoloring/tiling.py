@@ -27,9 +27,9 @@ COLORS = ("red", "orange", "green", "blue", "yellow", "turquoise")
 # Tiling.from_points' length tolerance; roundoff is about 1e-16, so it catches a wrong vertex only
 LENGTH_TOL = 1e-10
 
-# point location uses a uniform grid of LOCATE_GRID x LOCATE_GRID buckets over
-# fractional lattice coordinates (Edahiro, Kokubo and Asano, ACM TOG 3(2),
-# 1984) and works through LOCATE_CHUNK points at a time to bound temporaries
+# point location uses a uniform grid of LOCATE_GRID x LOCATE_GRID buckets over fractional
+# lattice coordinates (Edahiro, Kokubo and Asano, ACM TOG 3(2), 1984); its slow path, and
+# monte_carlo_check's sample, go LOCATE_CHUNK points at a time, so memory does not grow with n
 LOCATE_GRID = 64
 LOCATE_CHUNK = 1 << 16
 

@@ -136,21 +136,31 @@ def monte_carlo_check(t: Tiling, ct: ColoringType, n: int, seed: int) -> int:
 
     Draws n uniform points in one lattice cell and, per point, one uniform
     direction; the second endpoint lies at the first point's avoided
-    distance. Uses the counter-based Philox generator for reproducibility.
+    distance. Philox keyed by seed gives the stream of random((n, 2)) then
+    random(n); block [s, s + k) of tiling.LOCATE_CHUNK points reads doubles
+    [2s, 2s + 2k) and [2n + s, 2n + s + k), so memory does not grow with n.
     """
+    from .tiling import LOCATE_CHUNK  # read per call, so it can be patched
     _check_int("n", n, 1, math.inf, ">= 1")
     _check_int("seed", seed, 0, 2 ** 128, "in [0, 2**128)")  # a Philox key
+    n, seed = int(n), int(seed)  # Philox.advance overflows on numpy integers
     _check_colors(t, ct)
     # avoided distance by priority rank; only the ranks of cell colors occur
     dist_of_rank = np.array([ct.distances.get(c, math.nan) for c in t.priority])
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    u = rng.random((n, 2))
-    theta = rng.random(n) * (2 * math.pi)
-    # points as (2, n) rows, coordinates first, as rank_at_many works on them
-    p = t.v1[:, None] * u[:, 0] + t.v2[:, None] * u[:, 1]
-    del u
-    ranks1, interior1 = t.rank_at_many(p.T)
-    dist = dist_of_rank[ranks1]
-    p += dist * np.array([np.cos(theta), np.sin(theta)])
-    ranks2, interior2 = t.rank_at_many(p.T)
-    return int(np.count_nonzero((ranks1 == ranks2) & interior1 & interior2))
+    def doubles(pos, k):  # [pos, pos + k) of the stream; one Philox step gives 4 doubles
+        rng = np.random.Generator(np.random.Philox(key=seed).advance(pos // 4))
+        return rng.random(pos % 4 + k)[pos % 4:]
+    count = 0
+    for s in range(0, n, LOCATE_CHUNK):
+        k = min(LOCATE_CHUNK, n - s)
+        u = doubles(2 * s, 2 * k).reshape(k, 2)
+        theta = doubles(2 * n + s, k) * (2 * math.pi)
+        # points as (2, k) rows, coordinates first, as rank_at_many works on them
+        p = t.v1[:, None] * u[:, 0] + t.v2[:, None] * u[:, 1]
+        ranks1, interior1 = t.rank_at_many(p.T)
+        dist = dist_of_rank[ranks1]
+        p[0] += dist * np.cos(theta)
+        p[1] += dist * np.sin(theta)
+        ranks2, interior2 = t.rank_at_many(p.T)
+        count += int(np.count_nonzero((ranks1 == ranks2) & interior1 & interior2))
+    return count

@@ -1,6 +1,7 @@
 """Tests for the distance-avoidance verifier and Monte Carlo cross-check."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,29 @@ def brute_force_color_at_many(t, pts, reach=2):
     final = np.where(interior, interior_rank, boundary_rank)
     assert (final < nc).all()
     return np.array([t.priority[r] for r in final], dtype=object), interior
+
+
+def sabotaged_coloring_two():
+    """Coloring 2 with its yellow cell recolored green, criterion 7's invalid tiling."""
+    t = assemble_block2(constants())
+    cells = list(t.cells)
+    idx = next(i for i, (_, c) in enumerate(cells) if c == "yellow")
+    cells[idx] = (cells[idx][0], "green")
+    return Tiling(cells, t.v1, t.v2, t.priority)
+
+
+def one_pass_monte_carlo(t, ct, n, seed):
+    """Reference Monte Carlo: the whole sample drawn in one pass, random((n, 2))
+    then random(n) from Philox(key=seed), and located by brute force."""
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    u = rng.random((n, 2))
+    theta = rng.random(n) * (2 * np.pi)
+    p1 = u[:, :1] * t.v1 + u[:, 1:] * t.v2
+    colors1, interior1 = brute_force_color_at_many(t, p1)
+    dist = np.array([ct.distances[c] for c in colors1])
+    p2 = p1 + dist[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
+    colors2, interior2 = brute_force_color_at_many(t, p2)
+    return int(np.count_nonzero((colors1 == colors2) & interior1 & interior2))
 
 
 def bucket_probes(t):
@@ -527,11 +551,7 @@ class TestMonteCarlo:
         assert monte_carlo_check(t, ColoringType.unit_except(red=d), 50_000, seed=7) == 0
 
     def test_sabotage_detected(self):
-        t = assemble_block2(constants())
-        cells = list(t.cells)
-        idx = next(i for i, (_, c) in enumerate(cells) if c == "yellow")
-        cells[idx] = (cells[idx][0], "green")
-        bad = Tiling(cells, t.v1, t.v2, t.priority)
+        bad = sabotaged_coloring_two()
         assert monte_carlo_check(bad, ColoringType.unit_except(red=0.5), 50_000, seed=7) > 0
 
     def test_reproducible(self):
@@ -558,10 +578,7 @@ class TestMonteCarlo:
         # yellow cell recolored green, and two with red distances realized
         t1 = assemble_block(Params1(0.45, default_alpha1(0.45)))
         t2 = assemble_block2(constants())
-        cells = list(t2.cells)
-        idx = next(i for i, (_, c) in enumerate(cells) if c == "yellow")
-        cells[idx] = (cells[idx][0], "green")
-        sabotaged = Tiling(cells, t2.v1, t2.v2, t2.priority)
+        sabotaged = sabotaged_coloring_two()
         for t, red, seed, count in [(t1, 0.45, 1, 0), (t1, 0.45, 42, 0),
                                     (t2, 0.55, 1, 0), (t2, 0.55, 42, 0),
                                     (sabotaged, 0.55, 1, 21541), (sabotaged, 0.55, 42, 21478),
@@ -580,9 +597,45 @@ class TestMonteCarlo:
             return locate(self, pts)
 
         monkeypatch.setattr(Tiling, "rank_at_many", spy)
-        monte_carlo_check(assemble_block2(constants()), ColoringType.unit_except(red=0.55),
-                          3_000, seed=1)
+        t, ct = assemble_block2(constants()), ColoringType.unit_except(red=0.55)
+        monte_carlo_check(t, ct, 3_000, seed=1)
         assert calls == [3_000, 3_000]
+        # across blocks each call gets at most one block, and together they
+        # get both endpoints of every point, so the tracer still reads 2n
+        calls.clear()
+        monkeypatch.setattr(tiling, "LOCATE_CHUNK", 1_000)
+        monte_carlo_check(t, ct, 3_000, seed=1)
+        assert max(calls) <= 1_000 and sum(calls) == 6_000
+
+    @pytest.mark.parametrize("which, block, n, seed", [
+        *[(which, block, 3_001, 5) for which in ("sabotaged", "red 0.3")
+          for block in (1, 7, 4_093)],
+        ("sabotaged", 1_000, np.int64(3_001), 2 ** 128 - 1),
+        ("sabotaged", 1_000, np.int64(3_001), np.uint64(2 ** 64 - 1)),
+    ])
+    def test_blocks_match_one_pass_oracle(self, monkeypatch, which, block, n, seed):
+        # odd block sizes make blocks straddle Philox's 4-double counter steps;
+        # the last cases take numpy integers and the largest key over four blocks
+        if which == "sabotaged":
+            t, ct = sabotaged_coloring_two(), ColoringType.unit_except(red=0.55)
+        else:
+            t, ct = assemble_block2(constants()), ColoringType.unit_except(red=0.3)
+        want = one_pass_monte_carlo(t, ct, n, seed)
+        monkeypatch.setattr(tiling, "LOCATE_CHUNK", block)
+        assert monte_carlo_check(t, ct, n, seed=seed) == want > 0
+
+    def test_memory_does_not_grow_with_n(self):
+        # holding the whole sample of 10**6 points at once peaked at 94.6 MiB
+        t, ct = assemble_block2(constants()), ColoringType.unit_except(red=0.55)
+        t.rank_at_many(np.zeros((1, 2)))  # build the point locator beforehand
+        tracemalloc.start()
+        try:
+            count = monte_carlo_check(t, ct, 10 ** 6, seed=42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 0
+        assert peak < 16 << 20
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
