@@ -169,19 +169,24 @@ def polygon_max_distance(p: ConvexPolygon, q: ConvexPolygon) -> float:
     return float(polygon_distances(p.vertices[None], q.vertices[None])[1][0])
 
 
-def edge_distances(pts: np.ndarray, p: ConvexPolygon) -> np.ndarray:
-    """Signed distances (n, E) from points (n, 2) to the lines through p's
-    edges: positive on the inner side, so a point is in p iff all are >= 0.
-    Edge k runs from vertex k to vertex k + 1.
-
-    Evaluated on (E, n) rows, coordinates first, and returned as their
-    transpose: a trailing axis of length 2 would cost an inner loop per point.
-    """
-    x, y = pts.T
+def edge_lines(p: ConvexPolygon) -> tuple:
+    """The lines through p's edges, as line_distances takes them: vertices
+    and edge vectors as (2, E, 1) columns, coordinates first, and edge
+    lengths as (E, 1). Edge k runs from vertex k to vertex k + 1."""
     e = _succ(p.vertices, 0) - p.vertices
-    v, length = p.vertices.T[..., None], np.hypot(e[:, 0], e[:, 1])
-    e = e.T[..., None]
-    return ((e[0] * (y - v[1]) - e[1] * (x - v[0])) / length[:, None]).T
+    return p.vertices.T[..., None], e.T[..., None], np.hypot(e[:, 0], e[:, 1])[:, None]
+
+
+def line_distances(x: np.ndarray, y: np.ndarray, lines: tuple) -> np.ndarray:
+    """Signed distances (E, n) from the points (x[k], y[k]) to the lines of
+    edge_lines(p): positive on the inner side, so a point is in p iff all
+    are >= 0.
+
+    Points come as coordinate rows, not (n, 2): a trailing axis of length 2
+    would cost an inner loop per point.
+    """
+    v, e, length = lines
+    return (e[0] * (y - v[1]) - e[1] * (x - v[0])) / length
 
 
 def polygon_min_distance(p: ConvexPolygon, q: ConvexPolygon) -> float:

@@ -16,7 +16,8 @@ from .geom import (
     EPS_GEOM,
     convex_cells,
     convex_intersection_area,
-    edge_distances,
+    edge_lines,
+    line_distances,
     penetration_depths,
     polygon_distances,
 )
@@ -29,9 +30,11 @@ LENGTH_TOL = 1e-10
 
 # point location uses a uniform grid of LOCATE_GRID x LOCATE_GRID buckets over fractional
 # lattice coordinates (Edahiro, Kokubo and Asano, ACM TOG 3(2), 1984); its slow path, and
-# monte_carlo_check's sample, go LOCATE_CHUNK points at a time, so memory does not grow with n
+# monte_carlo_check's sample, go LOCATE_CHUNK points at a time, so memory does not grow with n;
+# monte_carlo_check runs at most LOCATE_THREADS blocks at once, so it does not grow with the cores
 LOCATE_GRID = 64
 LOCATE_CHUNK = 1 << 16
+LOCATE_THREADS = 2
 
 # two cells overlap when their intersection has more than this area
 OVERLAP_AREA_TOL = 1e-12
@@ -123,7 +126,7 @@ class _Locator(NamedTuple):
 
     L: np.ndarray             # lattice vectors as columns
     Linv: np.ndarray
-    candidates: list          # (translate, rank) of each listed translate
+    candidates: list          # (rank, geom.edge_lines) of each listed translate
     listed: list              # per candidate, a bool mask over the buckets
     bucket_rank: np.ndarray   # rank of each resolved bucket, else len(priority)
 
@@ -263,16 +266,18 @@ class Tiling:
         bucket_rank = np.full((g, g), nc, dtype=np.intp)
         resolved = np.ones((g, g), dtype=bool)
         candidates, listed = [], []
-        cell, a, b = self.translates_meeting(corners.min(axis=0), corners.max(axis=0), EPS_GEOM)
+        cell, a, b = self.translates_near(corners.min(axis=0), corners.max(axis=0), EPS_GEOM,
+                                          np.arange(len(self.cells)))
         off = a[:, None] * self.v1 + b[:, None] * self.v2
         gap, _ = polygon_distances(self.padded_vertices[cell] + off[:, None], corners[None])
         for k, o in zip(cell[gap <= EPS_GEOM].tolist(), off[gap <= EPS_GEOM]):
             t, color = self.cells[k][0].translated(o), self.cells[k][1]
             r = self.priority.index(color)
-            dist = edge_distances(grid, t).reshape(g + 1, g + 1, -1)
+            lines = edge_lines(t)
+            dist = line_distances(grid[:, 0], grid[:, 1], lines).T.reshape(g + 1, g + 1, -1)
             inside = _at_all_corners((dist > 2 * EPS_GEOM).all(axis=2))
             outside = _at_all_corners(dist < -2 * EPS_GEOM).any(axis=2)
-            candidates.append((t, r))
+            candidates.append((r, lines))
             listed.append(~outside.ravel())
             resolved &= inside | outside
             bucket_rank[inside] = np.minimum(bucket_rank[inside], r)
@@ -300,7 +305,7 @@ class Tiling:
         inside translate, and more than 2 EPS_GEOM beyond an edge of each
         outside one. The per-point test asks only for EPS_GEOM, and the
         other EPS_GEOM is far more than the rounding of the matmuls
-        `frac = Linv @ P` and `L @ frac` and of edge_distances: about 1e-15
+        `frac = Linv @ P` and `L @ frac` and of line_distances: about 1e-15
         for cells and lattice vectors of size near 1, growing in proportion
         to their size. So ranks and masks are the same bits as the per-point
         test's, overlapping cells included.
@@ -322,21 +327,27 @@ class Tiling:
             raise InvalidTilingError("point not covered by any cell translate")
         frac -= np.floor(frac)
         g = LOCATE_GRID
-        ij = np.minimum((frac * g).astype(np.intp), g - 1)
-        bucket = ij[0] * g + ij[1]
+        # the cast to intp truncates as astype does; no float temporary is made
+        ij = np.multiply(frac, g, out=np.empty(frac.shape, dtype=np.intp), casting="unsafe")
+        np.minimum(ij, g - 1, out=ij)
+        bucket = ij[0]
+        bucket *= g
+        bucket += ij[1]
         nc = len(self.priority)
         ranks = bucket_rank[bucket]
         interior = ranks < nc
         slow = np.flatnonzero(~interior)
-        base = L @ frac[:, slow]
+        # only the other points' coordinates and buckets outlive the lookup
+        base, slow_bucket = L @ frac[:, slow], bucket[slow]
+        del frac, ij, bucket
         for start in range(0, len(slow), LOCATE_CHUNK):
             chunk = slow[start:start + LOCATE_CHUNK]
-            p, bk = base[:, start:start + LOCATE_CHUNK], bucket[chunk]
+            p, bk = base[:, start:start + LOCATE_CHUNK], slow_bucket[start:start + LOCATE_CHUNK]
             interior_rank = np.full(len(chunk), nc, dtype=np.intp)
             boundary_rank = np.full(len(chunk), nc, dtype=np.intp)
-            for (t, r), in_bucket in zip(candidates, listed):
+            for (r, lines), in_bucket in zip(candidates, listed):
                 sel = np.flatnonzero(in_bucket[bk])
-                mindist = edge_distances(p[:, sel].T, t).min(axis=1)
+                mindist = line_distances(p[0, sel], p[1, sel], lines).min(axis=0)
                 hit = sel[mindist >= -EPS_GEOM]
                 boundary_rank[hit] = np.minimum(boundary_rank[hit], r)
                 inside = sel[mindist > EPS_GEOM]

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass
+from threading import Event
 
 import numpy as np
 
@@ -131,14 +133,34 @@ def _check_int(name: str, value, lo, hi, what: str) -> None:
         raise ValueError(f"{name} must be {what}, got {value}")
 
 
+def _worker_count(blocks: int) -> int:
+    """Threads for `blocks` independent blocks: one per CPU this process may
+    run on, at most one per block and at most tiling.LOCATE_THREADS."""
+    from .tiling import LOCATE_THREADS  # read per call, so it can be patched
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # sched_getaffinity is not on every platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, blocks, LOCATE_THREADS)
+
+
 def monte_carlo_check(t: Tiling, ct: ColoringType, n: int, seed: int) -> int:
     """Count monochromatic interior point pairs at the avoided distances.
 
     Draws n uniform points in one lattice cell and, per point, one uniform
     direction; the second endpoint lies at the first point's avoided
     distance. Philox keyed by seed gives the stream of random((n, 2)) then
-    random(n); block [s, s + k) of tiling.LOCATE_CHUNK points reads doubles
-    [2s, 2s + 2k) and [2n + s, 2n + s + k), so memory does not grow with n.
+    random(n); block [s, s + k) of k = tiling.LOCATE_CHUNK points reads
+    doubles [2s, 2s + 2k) and [2n + s, 2n + s + k), so memory does not grow
+    with n.
+
+    The blocks are independent and the count is the integer sum of theirs,
+    so it depends on neither their size nor their order. The first block
+    runs on this thread and builds t's point locator. The rest are dealt in
+    turn to _worker_count threads, as numpy releases the GIL in their long
+    passes: this thread and a pool of the others, since under glibc each
+    further thread adds a malloc arena to the peak memory. Once a block
+    raises, or this thread is interrupted, no thread starts another block.
     """
     from .tiling import LOCATE_CHUNK  # read per call, so it can be patched
     _check_int("n", n, 1, math.inf, ">= 1")
@@ -150,17 +172,46 @@ def monte_carlo_check(t: Tiling, ct: ColoringType, n: int, seed: int) -> int:
     def doubles(pos, k):  # [pos, pos + k) of the stream; one Philox step gives 4 doubles
         rng = np.random.Generator(np.random.Philox(key=seed).advance(pos // 4))
         return rng.random(pos % 4 + k)[pos % 4:]
-    count = 0
-    for s in range(0, n, LOCATE_CHUNK):
+    def count_block(s):
         k = min(LOCATE_CHUNK, n - s)
         u = doubles(2 * s, 2 * k).reshape(k, 2)
-        theta = doubles(2 * n + s, k) * (2 * math.pi)
         # points as (2, k) rows, coordinates first, as rank_at_many works on them
-        p = t.v1[:, None] * u[:, 0] + t.v2[:, None] * u[:, 1]
+        p = t.v1[:, None] * u[:, 0]
+        p += t.v2[:, None] * u[:, 1]
+        del u  # a thread holds one block: each array goes once used
         ranks1, interior1 = t.rank_at_many(p.T)
+        theta = doubles(2 * n + s, k)
+        theta *= 2 * math.pi
         dist = dist_of_rank[ranks1]
         p[0] += dist * np.cos(theta)
         p[1] += dist * np.sin(theta)
+        del theta, dist
         ranks2, interior2 = t.rank_at_many(p.T)
-        count += int(np.count_nonzero((ranks1 == ranks2) & interior1 & interior2))
-    return count
+        return int(np.count_nonzero((ranks1 == ranks2) & interior1 & interior2))
+    workers = max(1, _worker_count(-(-n // LOCATE_CHUNK) - 1))
+    step = workers * LOCATE_CHUNK
+    stop = Event()
+    def count_stride(first):  # blocks first, first + step, ... until stopped
+        total = 0
+        try:
+            for s in range(first, n, step):
+                if stop.is_set():
+                    break
+                total += count_block(s)
+        except BaseException:
+            stop.set()
+            raise
+        return total
+    count = count_block(0)  # builds t's point locator before any other thread reads it
+    if workers == 1:
+        return count + count_stride(LOCATE_CHUNK)
+    from concurrent.futures import ThreadPoolExecutor  # imported here: it slows start-up
+    with ThreadPoolExecutor(workers - 1) as pool:
+        try:
+            # a stride per thread, so one future each however large n is
+            futures = [pool.submit(count_stride, first)
+                       for first in range(2 * LOCATE_CHUNK, LOCATE_CHUNK + step, LOCATE_CHUNK)]
+            count += count_stride(LOCATE_CHUNK)
+            return count + sum(f.result() for f in futures)
+        finally:  # after an interrupt while waiting too, the pool starts no further block
+            stop.set()

@@ -12,7 +12,8 @@ from sixcoloring.errors import DomainError
 from sixcoloring.geom import (
     ConvexPolygon,
     convex_intersection_area,
-    edge_distances,
+    edge_lines,
+    line_distances,
     penetration_depths,
     polygon_max_distance,
     polygon_min_distance,
@@ -212,6 +213,11 @@ class TestMaxDistance:
             shift = np.linalg.norm(v)
             for fn in (polygon_min_distance, polygon_max_distance):
                 assert abs(fn(p, q.translated(v)) - fn(p, q)) <= shift + 1e-9
+
+
+def edge_distances(pts, p):
+    """Signed distances (n, E) from points (n, 2) to the lines through p's edges."""
+    return line_distances(pts[:, 0], pts[:, 1], edge_lines(p)).T
 
 
 class TestEdgeDistances:

@@ -112,3 +112,5 @@ def test_import_loads_no_heavy_package():
     loaded = set(ast.literal_eval(proc.stdout))
     assert "sixcoloring" in loaded and "numpy" in loaded
     assert loaded & {"scipy", "sympy", "mpmath", "hypothesis", "shapely"} == set()
+    # monte_carlo_check imports its thread pool when it runs one
+    assert "concurrent" not in loaded

@@ -1,19 +1,26 @@
 """Tests for the distance-avoidance verifier and Monte Carlo cross-check."""
 
+import collections
+import os
 import re
+import signal
+import sys
+import threading
+import time
+import traceback
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from sixcoloring.coloring_one import Params1, assemble_block, default_alpha1
-from sixcoloring import tiling
+from sixcoloring import tiling, verifier
 from sixcoloring.coloring_two import assemble_block2, constants
 from sixcoloring.errors import InvalidTilingError
 from sixcoloring.geom import (
     EPS_GEOM,
     ConvexPolygon,
-    edge_distances,
+    line_distances,
     polygon_max_distance,
     polygon_min_distance,
 )
@@ -449,13 +456,13 @@ class TestColorAt:
         frac -= np.floor(frac)
         ij = np.minimum((frac * g).astype(np.intp), g - 1)
         bucket = ij[0] * g + ij[1]
-        base = (L @ frac).T
+        x, y = L @ frac
         touched = 0
-        for (cand, _), in_bucket in zip(candidates, listed):
-            touching = edge_distances(base, cand).min(axis=1) >= -EPS_GEOM
+        for (_, lines), in_bucket in zip(candidates, listed):
+            touching = line_distances(x, y, lines).min(axis=0) >= -EPS_GEOM
             assert in_bucket[bucket[touching]].all()
             touched += np.count_nonzero(touching)
-        assert touched > len(base)  # boundary probes touch several translates
+        assert touched > len(x)  # boundary probes touch several translates
 
     @pytest.mark.parametrize("which", ["coloring 1", "coloring 2", "overlapping cells"])
     def test_results_independent_of_grid_size(self, which, monkeypatch):
@@ -623,6 +630,188 @@ class TestMonteCarlo:
         want = one_pass_monte_carlo(t, ct, n, seed)
         monkeypatch.setattr(tiling, "LOCATE_CHUNK", block)
         assert monte_carlo_check(t, ct, n, seed=seed) == want > 0
+
+    @pytest.mark.parametrize("which", ["sabotaged", "red 0.3"])
+    @pytest.mark.parametrize("block, n", [(1, 3_001), (7, 3_001), (4_093, 9_001)])
+    def test_pool_matches_one_pass_oracle(self, monkeypatch, which, block, n):
+        # three workers on any host, so a one-CPU machine runs the pool too
+        if which == "sabotaged":
+            t, ct = sabotaged_coloring_two(), ColoringType.unit_except(red=0.55)
+        else:
+            t, ct = assemble_block2(constants()), ColoringType.unit_except(red=0.3)
+        seed = 5
+        want = one_pass_monte_carlo(t, ct, n, seed)
+        builds, threads = [], set()
+        build, locate = Tiling._build_locator, Tiling.rank_at_many
+
+        def build_spy(self):
+            builds.append(threading.get_ident())
+            return build(self)
+
+        def locate_spy(self, pts):
+            threads.add(threading.get_ident())
+            return locate(self, pts)
+
+        monkeypatch.setattr(Tiling, "_build_locator", build_spy)
+        monkeypatch.setattr(Tiling, "rank_at_many", locate_spy)
+        monkeypatch.setattr(verifier, "_worker_count", lambda blocks: 3)
+        monkeypatch.setattr(tiling, "LOCATE_CHUNK", block)
+        fresh = Tiling(t.cells, t.v1, t.v2, t.priority)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so that a race would show
+        try:
+            count = monte_carlo_check(fresh, ct, n, seed=seed)
+        finally:
+            sys.setswitchinterval(interval)
+        assert count == want > 0
+        # the caller's thread builds the locator, once, and the workers share it
+        assert builds == [threading.get_ident()]
+        assert threads - {threading.get_ident()}
+
+    def test_pool_raises_as_serial(self, monkeypatch):
+        # with the smallest cell removed, some points lie in no cell translate;
+        # at this seed blocks 0 and 1 of 10 points are covered and block 2 is
+        # not, so with three workers only a pool thread raises
+        t = assemble_block2(constants())
+        hole = int(np.argmin(t._areas))
+        holed = Tiling(t.cells[:hole] + t.cells[hole + 1:], t.v1, t.v2, t.priority)
+        ct = ColoringType.unit_except(red=0.55)
+        raised_in, locate = [], Tiling.rank_at_many
+
+        def spy(self, pts):
+            try:
+                return locate(self, pts)
+            except InvalidTilingError:
+                raised_in.append(threading.get_ident())
+                raise
+
+        monkeypatch.setattr(Tiling, "rank_at_many", spy)
+        monkeypatch.setattr(tiling, "LOCATE_CHUNK", 10)
+        errors = []
+        for workers in (1, 3):
+            monkeypatch.setattr(verifier, "_worker_count", lambda blocks, w=workers: w)
+            raised_in.clear()
+            before = threading.active_count()
+            with pytest.raises(InvalidTilingError) as info:
+                monte_carlo_check(holed, ct, 30, seed=4)
+            assert threading.active_count() == before
+            errors.append((info.type, str(info.value), raised_in == [threading.get_ident()]))
+            assert len(raised_in) == 1
+        message = "point not covered by any cell translate"
+        assert errors == [(InvalidTilingError, message, True), (InvalidTilingError, message, False)]
+
+    @pytest.mark.parametrize("raiser", ["pool", "caller"])
+    def test_no_block_starts_after_a_raise(self, monkeypatch, raiser):
+        # once a block raises, each other thread ends at most the block it is
+        # in, so it makes at most that block's two rank_at_many calls
+        t, ct = assemble_block2(constants()), ColoringType.unit_except(red=0.55)
+
+        class Raised(BaseException):  # as an interrupt is: not an Exception
+            pass
+
+        class Stop(threading.Event):
+            def __init__(self):
+                super().__init__()
+                stops.append(self)
+
+        caller, locate = threading.get_ident(), Tiling.rank_at_many
+        stops, raised, unstopped = [], [], []
+        calls, late = collections.Counter(), collections.Counter()
+
+        def spy(self, pts):
+            me = threading.get_ident()
+            if raised and not unstopped and not stops[-1].wait(1):
+                unstopped.append(me)  # the raising thread sets the stop as it unwinds
+            late[me] += bool(raised)
+            calls[me] += 1
+            # a pool thread's first block, or the caller's second: a stride's first
+            if not raised and (me != caller if raiser == "pool" else me == caller and calls[me] == 3):
+                raised.append(me)
+                raise Raised
+            return locate(self, pts)
+
+        monkeypatch.setattr(verifier, "Event", Stop)
+        monkeypatch.setattr(verifier, "_worker_count", lambda blocks: 3)
+        monkeypatch.setattr(tiling, "LOCATE_CHUNK", 10)
+        monkeypatch.setattr(Tiling, "rank_at_many", spy)
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so that the strides interleave
+        try:
+            with pytest.raises(Raised):
+                monte_carlo_check(t, ct, 2_000, seed=3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        assert (raised[0] == caller) == (raiser == "caller")
+        assert len(stops) == 1 and stops[0].is_set() and not unstopped
+        assert max(late.values()) <= 2
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
+    def test_interrupt_while_waiting_stops_the_pool(self, monkeypatch):
+        # two threads, 20 blocks: the pool thread holds its first block until
+        # the caller, its own stride done, waits for it and is interrupted
+        t, ct = assemble_block2(constants()), ColoringType.unit_except(red=0.55)
+
+        class Raised(BaseException):  # as an interrupt is: not an Exception
+            pass
+
+        class Stop(threading.Event):
+            def __init__(self):
+                super().__init__()
+                stops.append(self)
+
+        def interrupt(signum, frame):
+            if not interrupted:  # the first signal only: a later one may land while unwinding
+                interrupted.append(signum)
+                raise Raised
+
+        def waiting_in(frame):  # names of the functions on a thread's stack
+            return {f.f_code.co_name for f, _ in traceback.walk_stack(frame)}
+
+        caller, locate = threading.get_ident(), Tiling.rank_at_many
+        stops, pool_calls, interrupted = [], [], []
+
+        def spy(self, pts):
+            if threading.get_ident() != caller:
+                pool_calls.append(stops[-1].is_set())
+                if len(pool_calls) == 1:
+                    while "result" not in waiting_in(sys._current_frames()[caller]):
+                        time.sleep(1e-3)
+                    # sent until the stop is set, for up to 5 s: a signal that
+                    # lands just before the caller blocks on a lock waits with it
+                    for _ in range(500):
+                        signal.pthread_kill(caller, signal.SIGUSR1)
+                        if stops[-1].wait(0.01):
+                            break
+            return locate(self, pts)
+
+        assert threading.current_thread() is threading.main_thread()  # signals go there
+        monkeypatch.setattr(verifier, "Event", Stop)
+        monkeypatch.setattr(verifier, "_worker_count", lambda blocks: 2)
+        monkeypatch.setattr(tiling, "LOCATE_CHUNK", 10)
+        monkeypatch.setattr(Tiling, "rank_at_many", spy)
+        handler = signal.signal(signal.SIGUSR1, interrupt)
+        try:
+            with pytest.raises(Raised):
+                monte_carlo_check(t, ct, 200, seed=3)
+        finally:
+            signal.signal(signal.SIGUSR1, handler)
+        # the pool thread ends the block it holds and starts none of its other 8
+        assert pool_calls == [False, True]
+
+    def test_worker_count_capped(self, monkeypatch):
+        # on many CPUs, at most LOCATE_THREADS blocks are in flight at once
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        assert verifier._worker_count(1_000) == tiling.LOCATE_THREADS == 2
+        assert verifier._worker_count(1) == 1
+        monkeypatch.setattr(tiling, "LOCATE_THREADS", 5)
+        assert verifier._worker_count(1_000) == 5
+        # without sched_getaffinity the CPU count is used, and an unknown one is 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert verifier._worker_count(1_000) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert verifier._worker_count(1_000) == 3
 
     def test_memory_does_not_grow_with_n(self):
         # holding the whole sample of 10**6 points at once peaked at 94.6 MiB
