@@ -169,24 +169,26 @@ def polygon_max_distance(p: ConvexPolygon, q: ConvexPolygon) -> float:
     return float(polygon_distances(p.vertices[None], q.vertices[None])[1][0])
 
 
-def edge_lines(p: ConvexPolygon) -> tuple:
-    """The lines through p's edges, as line_distances takes them: vertices
-    and edge vectors as (2, E, 1) columns, coordinates first, and edge
-    lengths as (E, 1). Edge k runs from vertex k to vertex k + 1."""
-    e = _succ(p.vertices, 0) - p.vertices
-    return p.vertices.T[..., None], e.T[..., None], np.hypot(e[:, 0], e[:, 1])[:, None]
+def edge_lines(v: np.ndarray) -> np.ndarray:
+    """The lines through the edges of the polygons v (..., m, 2), as
+    line_distances takes them: rows (5, ..., m) of the vertex x and y, the
+    edge vector's dx and dy and the edge length. Edge k runs from vertex k
+    to vertex k + 1, cyclically, so a padding vertex repeating vertex 0
+    adds edges of length 0."""
+    e = _succ(v, v.ndim - 2) - v
+    return np.stack([v[..., 0], v[..., 1], e[..., 0], e[..., 1], np.hypot(e[..., 0], e[..., 1])])
 
 
-def line_distances(x: np.ndarray, y: np.ndarray, lines: tuple) -> np.ndarray:
-    """Signed distances (E, n) from the points (x[k], y[k]) to the lines of
-    edge_lines(p): positive on the inner side, so a point is in p iff all
-    are >= 0.
+def line_distances(x: np.ndarray, y: np.ndarray, lines: np.ndarray) -> np.ndarray:
+    """Signed distances from the points (x, y) to the lines of edge_lines,
+    broadcast together: positive on the inner side, so a point is in a
+    polygon iff all its edges' are >= 0.
 
     Points come as coordinate rows, not (n, 2): a trailing axis of length 2
     would cost an inner loop per point.
     """
-    v, e, length = lines
-    return (e[0] * (y - v[1]) - e[1] * (x - v[0])) / length
+    vx, vy, dx, dy, length = lines
+    return (dx * (y - vy) - dy * (x - vx)) / length
 
 
 def polygon_min_distance(p: ConvexPolygon, q: ConvexPolygon) -> float:

@@ -19,7 +19,6 @@ from .geom import (
     edge_lines,
     line_distances,
     penetration_depths,
-    polygon_distances,
 )
 
 # the colors, highest priority first: a boundary point gets the first incident one
@@ -29,10 +28,13 @@ COLORS = ("red", "orange", "green", "blue", "yellow", "turquoise")
 LENGTH_TOL = 1e-10
 
 # point location uses a uniform grid of LOCATE_GRID x LOCATE_GRID buckets over fractional
-# lattice coordinates (Edahiro, Kokubo and Asano, ACM TOG 3(2), 1984); its slow path, and
-# monte_carlo_check's sample, go LOCATE_CHUNK points at a time, so memory does not grow with n;
-# monte_carlo_check runs at most LOCATE_THREADS blocks at once, so it does not grow with the cores
+# lattice coordinates (Edahiro, Kokubo and Asano, ACM TOG 3(2), 1984), each bucket that one
+# cell does not hold split again LOCATE_REFINE x LOCATE_REFINE ways (Samet, 1990), and tests
+# the points of sub-buckets still mixed against the lines that cross them, at most LOCATE_CHUNK
+# line distances at a time; monte_carlo_check draws its sample LOCATE_CHUNK points at a time,
+# so memory does not grow with n, and runs at most LOCATE_THREADS blocks at once
 LOCATE_GRID = 64
+LOCATE_REFINE = 8
 LOCATE_CHUNK = 1 << 16
 LOCATE_THREADS = 2
 
@@ -99,10 +101,60 @@ def _box_gap(lo, hi, lo2, hi2):
     return np.hypot(gap[..., 0], gap[..., 1])
 
 
-def _at_all_corners(grid: np.ndarray) -> np.ndarray:
-    """Bucket (i, j) of a bool array over grid points: whether it holds at all
-    four of the bucket's corners, the grid points (i + di, j + dj)."""
-    return grid[:-1, :-1] & grid[1:, :-1] & grid[:-1, 1:] & grid[1:, 1:]
+def _per_entry(pe: np.ndarray, n: int):
+    """Pairs grouped by entry, pe their entries, at least one for each of n
+    entries: each entry's pair indices (n, K), padded by repeating its last,
+    and the mask of the real ones."""
+    count = np.bincount(pe, minlength=n)
+    j = np.arange(count.max(initial=1))
+    return (np.cumsum(count) - count)[:, None] + np.minimum(j, count[:, None] - 1), \
+        j < count[:, None]
+
+
+def _refine(L, lines, rank, n, ij, R, ec, et, pe, pl):
+    """One level of point location's classification, over the cells
+    [i, i + 1] x [j, j + 1] / R of fractional lattice coordinates, (i, j)
+    the columns of ij. Entry k lists translate et[k] in cell ec[k]; pair k
+    gives entry pe[k] an edge, column pl[k] of `lines`. Pairs are grouped
+    by entry, at least one each; an entry's other edges lie more than
+    2 EPS_GEOM inside the whole cell.
+
+    Cell c splits into n x n children, (u, w) at (c n + u) n + w. An edge's
+    signed distance is affine, so over a child it is least and greatest at
+    the corners picked by the signs of its steps along the axes. The edge
+    crosses the child unless the least exceeds 2 EPS_GEOM; the translate is
+    listed unless an edge's greatest is below -2 EPS_GEOM. Returns the
+    children's ranks, the least of those listed if one is and no edge
+    crosses, else rank[-1]; and the next level's (ij, R, ec, et, pe, pl)
+    for the other children, keeping per entry the edges that cross, or its
+    first edge if none does.
+    """
+    nc, line = rank[-1], lines[:, pl]
+    dist = line_distances(*L @ (ij[:, ec[pe]] / R), line)
+    step = (np.outer(L[1], line[2]) - np.outer(L[0], line[3])) / (line[4] * (R * n))
+    # along each axis, the change from the cell's corner to its children's, (pairs, n)
+    along_i, along_j = step[..., None] * np.arange(n)
+    low = 2 * EPS_GEOM - dist - np.minimum(step, 0).sum(axis=0)
+    high = -2 * EPS_GEOM - dist - np.maximum(step, 0).sum(axis=0)
+    crossing = (along_i[:, :, None] <= (low[:, None] - along_j)[:, None]).reshape(len(pe), -1)
+    beyond = (along_i[:, :, None] < (high[:, None] - along_j)[:, None]).reshape(len(pe), -1)
+    dense, real = _per_entry(pe, len(ec))
+    crossing = crossing[dense]  # (entry, pair, child)
+    inside, listed = ~crossing.any(axis=1), ~beyond[dense].any(axis=1)
+    out = np.full(ij.shape[1] * n * n, nc)
+    e, k = np.nonzero(inside)
+    np.minimum.at(out, ec[e] * (n * n) + k, rank[et[e]])
+    e, k = np.nonzero(listed & ~inside)
+    out[ec[e] * (n * n) + k] = nc
+    mixed = out == nc
+    order = np.cumsum(mixed) - 1  # a mixed child's index among them
+    e, k = np.nonzero(listed & mixed.reshape(-1, n * n)[ec])
+    cross = crossing[e, :, k] & real[e]
+    cross[:, 0] |= ~cross.any(axis=1)
+    q, j = np.nonzero(cross)
+    c, u, w = np.unravel_index(np.flatnonzero(mixed), (ij.shape[1], n, n))
+    return out, (ij[:, c] * n + [u, w], R * n, order[ec[e] * (n * n) + k], et[e], q,
+                 pl[dense[e[q], j]])
 
 
 @dataclass(frozen=True)
@@ -124,11 +176,15 @@ class ColoringType:
 class _Locator(NamedTuple):
     """Tiling._build_locator's tables."""
 
-    L: np.ndarray             # lattice vectors as columns
-    Linv: np.ndarray
-    candidates: list          # (rank, geom.edge_lines) of each listed translate
-    listed: list              # per candidate, a bool mask over the buckets
+    grid: int                 # LOCATE_GRID and LOCATE_REFINE at the build
+    refine: int
+    reach: float              # the largest |fractional coordinate| located
     bucket_rank: np.ndarray   # rank of each resolved bucket, else len(priority)
+    sub_start: np.ndarray     # per unresolved bucket, the index of its first sub-bucket
+    sub_rank: np.ndarray      # rank of each resolved sub-bucket, else len(priority) + its row
+    table: np.ndarray         # (rows, slots, lines): per translate, the lines crossing a row
+    lines: np.ndarray         # (5, lines): x, y, dx, dy and length of each line
+    line_rank: np.ndarray     # the rank of each line's translate
 
 
 class Tiling:
@@ -241,48 +297,58 @@ class Tiling:
     # --- point coloring -------------------------------------------------
 
     def _build_locator(self):
-        """Cell translates covering the base lattice parallelogram, bucketed,
-        and the rank of every bucket that one cell holds whole.
+        """The point locator's tables: buckets on two levels, and the lines
+        crossing the sub-buckets left mixed.
 
-        Each translate is kept as a polygon with its priority rank, and its
-        signed edge distances are taken once, at the (g + 1)^2 corners of a
-        g x g grid of buckets over fractional lattice coordinates, g being
-        LOCATE_GRID. A translate is inside a bucket when all four of the
-        bucket's corners lie more than 2 EPS_GEOM inside it, and outside when
-        one of its edges has all four corners more than 2 EPS_GEOM beyond it.
-        A bucket lists every translate that is not outside it. It is resolved
-        when every translate is inside or outside it and at least one is
-        inside; its rank is then the least rank of the inside ones, and
-        unresolved buckets hold len(priority). rank_at_many gives the
-        argument that makes both sound.
+        A g x g grid of buckets, g = LOCATE_GRID, splits the base lattice
+        parallelogram in fractional lattice coordinates, and each bucket
+        left mixed splits into s x s sub-buckets, s = LOCATE_REFINE. Each is
+        resolved or left mixed by _refine's rule, the grid in two steps for
+        speed, g1 x g1 and then g / g1 x g / g1, g1 the largest divisor of g
+        up to its square root: each step evaluates only the edges crossing
+        the cell it splits. Each sub-bucket left mixed is a row of the table,
+        a slot per translate it lists with the edges crossing it, or one if
+        none does. rank_at_many gives the argument that makes it sound.
         """
+        g, s, nc = LOCATE_GRID, LOCATE_REFINE, len(self.priority)
         L = self._L
         corners = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float) @ L.T
-        g = LOCATE_GRID
-        nc = len(self.priority)
-        # grid point (i, j) at fractional coordinates (i / g, j / g)
-        f = np.arange(g + 1) / g
-        grid = np.stack(np.meshgrid(f, f, indexing="ij"), axis=-1).reshape(-1, 2) @ L.T
-        bucket_rank = np.full((g, g), nc, dtype=np.intp)
-        resolved = np.ones((g, g), dtype=bool)
-        candidates, listed = [], []
         cell, a, b = self.translates_near(corners.min(axis=0), corners.max(axis=0), EPS_GEOM,
                                           np.arange(len(self.cells)))
         off = a[:, None] * self.v1 + b[:, None] * self.v2
-        gap, _ = polygon_distances(self.padded_vertices[cell] + off[:, None], corners[None])
-        for k, o in zip(cell[gap <= EPS_GEOM].tolist(), off[gap <= EPS_GEOM]):
-            t, color = self.cells[k][0].translated(o), self.cells[k][1]
-            r = self.priority.index(color)
-            lines = edge_lines(t)
-            dist = line_distances(grid[:, 0], grid[:, 1], lines).T.reshape(g + 1, g + 1, -1)
-            inside = _at_all_corners((dist > 2 * EPS_GEOM).all(axis=2))
-            outside = _at_all_corners(dist < -2 * EPS_GEOM).any(axis=2)
-            candidates.append((r, lines))
-            listed.append(~outside.ravel())
-            resolved &= inside | outside
-            bucket_rank[inside] = np.minimum(bucket_rank[inside], r)
-        bucket_rank[~resolved] = nc
-        self._locator = _Locator(L, self._Linv, candidates, listed, bucket_rank.ravel())
+        # the translates' edges without the padding's, then a last line of
+        # distance 0 everywhere, for the table's empty slots
+        lines = edge_lines(self.padded_vertices[cell] + off[:, None])
+        t, k = np.nonzero(lines[4] > 0)
+        lines = np.c_[lines[:, t, k], [0, 0, 0, 0, 1]]
+        rank = np.array([self.priority.index(self.cells[c][1]) for c in cell.tolist()] + [nc])
+        # the whole parallelogram lists every translate, with all its edges
+        level = np.zeros((2, 1), dtype=np.intp), 1, np.zeros_like(cell), np.arange(len(cell)), \
+            t, np.arange(len(t))
+        g1 = max(d for d in range(1, math.isqrt(g) + 1) if g % d == 0)
+        n = g // g1
+        coarse, level = _refine(L, lines, rank, g1, *level)
+        bucket_rank = np.repeat(np.repeat(coarse.reshape(g1, g1), n, 0), n, 1)
+        ij = level[0]
+        fine, level = _refine(L, lines, rank, n, *level)
+        c, u, w = np.unravel_index(np.arange(len(fine)), (ij.shape[1], n, n))
+        bucket_rank[ij[0, c] * n + u, ij[1, c] * n + w] = fine
+        ij = level[0]
+        sub_start = np.zeros(g * g, dtype=np.intp)
+        sub_start[ij[0] * g + ij[1]] = np.arange(ij.shape[1]) * (s * s)
+        sub_rank, (_, _, row, _, pe, pl) = _refine(L, lines, rank, s, *level)
+        mixed = np.flatnonzero(sub_rank == nc)
+        sub_rank[mixed] = nc + np.arange(len(mixed))
+        # a row's slots, each a translate's lines padded by repeating its last
+        dense, _ = _per_entry(pe, len(row))
+        order = np.argsort(row, kind="stable")
+        count = np.bincount(row, minlength=len(mixed))
+        slot = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+        table = np.full((len(mixed), count.max(initial=1), dense.shape[1]), len(t))
+        table[row[order], slot] = pl[dense[order]]
+        reach = EPS_GEOM / (4 * np.finfo(float).eps * (np.hypot(*self.v1) + np.hypot(*self.v2)))
+        self._locator = _Locator(g, s, float(reach), bucket_rank.ravel(), sub_start, sub_rank,
+                                 table, lines, rank[np.r_[t, len(cell)]])
         return self._locator
 
     def rank_at_many(self, pts: np.ndarray):
@@ -294,39 +360,47 @@ class Tiling:
         color among the cells containing it; a boundary point, among the cells
         it touches.
 
-        A point lists its bucket's translates (see _build_locator), and a
-        point in a resolved bucket takes the bucket's rank and is interior.
-        Both give the answer the per-point test gives it: a signed edge
-        distance is affine in the point and a bucket is convex, so over the
-        bucket it lies between its values at the four corners. A translate
-        the point touches has every edge distance >= -EPS_GEOM there, so each
-        edge has a corner above -2 EPS_GEOM and the translate is listed. In a
-        resolved bucket every point is more than 2 EPS_GEOM inside each
-        inside translate, and more than 2 EPS_GEOM beyond an edge of each
-        outside one. The per-point test asks only for EPS_GEOM, and the
-        other EPS_GEOM is far more than the rounding of the matmuls
-        `frac = Linv @ P` and `L @ frac` and of line_distances: about 1e-15
-        for cells and lattice vectors of size near 1, growing in proportion
-        to their size. So ranks and masks are the same bits as the per-point
-        test's, overlapping cells included.
+        A point in a resolved bucket or sub-bucket (see _build_locator) takes
+        its rank and is interior; another point takes the per-point test
+        over its sub-bucket's row of the table. Both give the per-point
+        test's answer over every edge of every translate. A signed edge
+        distance is affine in the point and a bucket is a parallelogram, so
+        over the bucket it lies between its values at the four corners. A
+        translate the point touches has every edge distance >= -EPS_GEOM
+        there, so no edge has all four corners below -2 EPS_GEOM and it is
+        listed at every level. In a resolved bucket every point is more than
+        2 EPS_GEOM inside each listed translate, and an edge left out of a
+        row is more than 2 EPS_GEOM inside at the whole sub-bucket, so it
+        changes neither comparison with +-EPS_GEOM. The per-point test asks
+        only for EPS_GEOM, and the other EPS_GEOM is far more than the
+        rounding of the matmuls `frac = Linv @ P` and `L @ frac`, of the
+        corner values and of the distances: about 1e-15 for cells and
+        lattice vectors of size near 1, growing in proportion to their size.
+        So ranks and masks are the same bits as the per-point test's,
+        overlapping cells included. Reducing a point to the parallelogram
+        rounds it by about eps |frac| (|v1| + |v2|), so RangeError refuses
+        points where that could exceed EPS_GEOM / 4.
 
         The points travel as (2, n) rows P = pts.T, coordinates first, so
         each numpy pass runs over n contiguous values instead of n pairs; a
         caller holding (2, n) rows passes their transpose, and no copy is
-        made. The other points are located LOCATE_CHUNK at a time, each
-        tested only against the translates listed in its bucket.
+        made. The points left to the table take one gathered pass over their
+        rows' lines, at most LOCATE_CHUNK line distances at a time.
         """
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
         if self._locator is None:
             self._build_locator()
-        L, Linv, candidates, listed, bucket_rank = self._locator
-        frac = Linv @ pts.T
-        if not np.isfinite(frac).all():
-            raise InvalidTilingError("point not covered by any cell translate")
+        g, s, reach, bucket_rank, sub_start, sub_rank, table, lines, line_rank = self._locator
+        frac = self._Linv @ pts.T
+        far = np.maximum(frac.max(initial=0.0), -frac.min(initial=0.0))  # NaN stays NaN
+        if not far <= reach:
+            if not np.isfinite(far):
+                raise InvalidTilingError("point not covered by any cell translate")
+            raise RangeError(f"fractional lattice coordinate {far:.6g} is beyond {reach:.6g}, "
+                             "where reducing a point rounds by more than EPS_GEOM / 4")
         frac -= np.floor(frac)
-        g = LOCATE_GRID
         # the cast to intp truncates as astype does; no float temporary is made
         ij = np.multiply(frac, g, out=np.empty(frac.shape, dtype=np.intp), casting="unsafe")
         np.minimum(ij, g - 1, out=ij)
@@ -338,20 +412,26 @@ class Tiling:
         interior = ranks < nc
         slow = np.flatnonzero(~interior)
         # only the other points' coordinates and buckets outlive the lookup
-        base, slow_bucket = L @ frac[:, slow], bucket[slow]
+        f = frac[:, slow]
+        base, slow_bucket = self._L @ f, bucket[slow]
         del frac, ij, bucket
-        for start in range(0, len(slow), LOCATE_CHUNK):
-            chunk = slow[start:start + LOCATE_CHUNK]
-            p, bk = base[:, start:start + LOCATE_CHUNK], slow_bucket[start:start + LOCATE_CHUNK]
-            interior_rank = np.full(len(chunk), nc, dtype=np.intp)
-            boundary_rank = np.full(len(chunk), nc, dtype=np.intp)
-            for (r, lines), in_bucket in zip(candidates, listed):
-                sel = np.flatnonzero(in_bucket[bk])
-                mindist = line_distances(p[0, sel], p[1, sel], lines).min(axis=0)
-                hit = sel[mindist >= -EPS_GEOM]
-                boundary_rank[hit] = np.minimum(boundary_rank[hit], r)
-                inside = sel[mindist > EPS_GEOM]
-                interior_rank[inside] = np.minimum(interior_rank[inside], r)
+        # each point's sub-bucket, from its place in its bucket
+        f *= g
+        f -= np.minimum(np.floor(f), g - 1)
+        sub = np.minimum((f * s).astype(np.intp), s - 1)
+        code = sub_rank[sub_start[slow_bucket] + sub[0] * s + sub[1]]
+        done = code < nc
+        ranks[slow[done]] = code[done]
+        interior[slow[done]] = True
+        slow, rows, base = slow[~done], code[~done] - nc, base[:, ~done]
+        step = max(1, LOCATE_CHUNK // (table.shape[1] * table.shape[2]))
+        for start in range(0, len(slow), step):
+            chunk, idx = slow[start:start + step], table[rows[start:start + step]]
+            x, y = base[:, start:start + step, None, None]
+            mindist = line_distances(x, y, lines[:, idx]).min(axis=2)  # (point, slot)
+            rank = line_rank[idx[..., 0]]
+            interior_rank = np.where(mindist > EPS_GEOM, rank, nc).min(axis=1)
+            boundary_rank = np.where(mindist >= -EPS_GEOM, rank, nc).min(axis=1)
             interior[chunk] = interior_rank < nc
             ranks[chunk] = np.where(interior[chunk], interior_rank, boundary_rank)
         if np.any(ranks >= nc):

@@ -461,6 +461,19 @@ class TestProbe:
         run(["probe", "--coloring", "2", "--d", "0.5", "--x", "1.5", "--y", "0"])
         assert capsys.readouterr().out.strip() == "blue"
 
+    def test_far_point_refused(self, capsys):
+        # 1e17 is a multiple of v1 = (2, 0), so the color would be x = 0's,
+        # green; reducing the point rounds away far more than EPS_GEOM, so
+        # the locator refuses it and names its bound
+        run(["probe", "--coloring", "2", "--d", "0.5", "--x", "0", "--y", "1.2"])
+        assert capsys.readouterr().out.strip() == "green"
+        assert run(["probe", "--coloring", "2", "--d", "0.5",
+                    "--x", "1e17", "--y", "1.2"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: fractional lattice coordinate 5e+16 is beyond 281475, "
+                                "where reducing a point rounds by more than EPS_GEOM / 4\n")
+
 
 class TestRoots:
     def test_output(self, capsys):

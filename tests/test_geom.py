@@ -217,7 +217,7 @@ class TestMaxDistance:
 
 def edge_distances(pts, p):
     """Signed distances (n, E) from points (n, 2) to the lines through p's edges."""
-    return line_distances(pts[:, 0], pts[:, 1], edge_lines(p)).T
+    return line_distances(pts[:, 0], pts[:, 1], edge_lines(p.vertices)[..., None]).T
 
 
 class TestEdgeDistances:

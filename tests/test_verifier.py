@@ -16,10 +16,11 @@ import pytest
 from sixcoloring.coloring_one import Params1, assemble_block, default_alpha1
 from sixcoloring import tiling, verifier
 from sixcoloring.coloring_two import assemble_block2, constants
-from sixcoloring.errors import InvalidTilingError
+from sixcoloring.errors import InvalidTilingError, RangeError
 from sixcoloring.geom import (
     EPS_GEOM,
     ConvexPolygon,
+    edge_lines,
     line_distances,
     polygon_max_distance,
     polygon_min_distance,
@@ -100,6 +101,13 @@ def one_pass_monte_carlo(t, ct, n, seed):
     return int(np.count_nonzero((colors1 == colors2) & interior1 & interior2))
 
 
+def nudged(pts):
+    """Each point of pts (n, 2) nudged by 0 or +-EPS_GEOM / 2 per axis."""
+    h = EPS_GEOM / 2
+    nudges = np.array([(a, b) for a in (-h, 0, h) for b in (-h, 0, h)])
+    return (pts[:, None, :] + nudges[None, :, :]).reshape(-1, 2)
+
+
 def bucket_probes(t):
     """Every corner and edge midpoint of the point locator's buckets in the
     base lattice parallelogram, each nudged by 0 or +-EPS_GEOM / 2 per axis."""
@@ -108,20 +116,31 @@ def bucket_probes(t):
     i, j = (x.ravel() for x in np.meshgrid(k, k, indexing="ij"))
     keep = (i % 2 == 0) | (j % 2 == 0)  # leave out the bucket centres
     frac = np.column_stack([i[keep], j[keep]]) / (2 * g)
-    h = EPS_GEOM / 2
-    nudges = np.array([(a, b) for a in (-h, 0, h) for b in (-h, 0, h)])
-    pts = frac @ np.column_stack([t.v1, t.v2]).T
-    return (pts[:, None, :] + nudges[None, :, :]).reshape(-1, 2)
+    return nudged(frac @ np.column_stack([t.v1, t.v2]).T)
+
+
+def sub_bucket_probes(t, mixed=None):
+    """Every corner and edge midpoint of the sub-buckets of the unresolved
+    buckets `mixed`, by default 24 spread evenly over them in index order,
+    each nudged by 0 or +-EPS_GEOM / 2 per axis."""
+    loc = t._build_locator()
+    g, s = loc.grid, loc.refine
+    if mixed is None:
+        mixed = np.flatnonzero(loc.bucket_rank == len(t.priority))
+        mixed = mixed[np.unique(np.linspace(0, len(mixed) - 1, 24).astype(int))]
+    k = np.arange(2 * s + 1)
+    i, j = (x.ravel() for x in np.meshgrid(k, k, indexing="ij"))
+    keep = (i % 2 == 0) | (j % 2 == 0)  # leave out the sub-bucket centres
+    frac = np.stack([(mixed // g * 2 * s)[:, None] + i[keep],
+                     (mixed % g * 2 * s)[:, None] + j[keep]], axis=-1).reshape(-1, 2) / (2 * g * s)
+    return nudged(frac @ np.column_stack([t.v1, t.v2]).T)
 
 
 def vertex_probes(t):
     """Every cell vertex and edge midpoint, each nudged by 0 or
     +-EPS_GEOM / 2 per axis."""
-    h = EPS_GEOM / 2
-    nudges = np.array([(a, b) for a in (-h, 0, h) for b in (-h, 0, h)])
-    special = np.concatenate([np.concatenate([p.vertices, 0.5 * (
-        p.vertices + np.roll(p.vertices, -1, axis=0))]) for p, _ in t.cells])
-    return (special[:, None, :] + nudges[None, :, :]).reshape(-1, 2)
+    return nudged(np.concatenate([np.concatenate([p.vertices, 0.5 * (
+        p.vertices + np.roll(p.vertices, -1, axis=0))]) for p, _ in t.cells]))
 
 
 def locator_case(which):
@@ -405,11 +424,12 @@ class TestColorAt:
             if which == "json round-trip":
                 t = Tiling.from_json(t.to_json())
         # nudged cell vertices and edge midpoints probe the boundary cases of
-        # bucket listing; bucket corners and edge midpoints, those of the
-        # resolved buckets
+        # bucket listing; bucket and sub-bucket corners and edge midpoints,
+        # those of the resolved buckets and sub-buckets
         special = vertex_probes(t)
         rng = np.random.default_rng(5)
-        pts = np.concatenate([rng.uniform(-3, 3, (20_000, 2)), bucket_probes(t), special])
+        pts = np.concatenate([rng.uniform(-3, 3, (20_000, 2)), bucket_probes(t),
+                              sub_bucket_probes(t), special])
         colors, interior = t.color_at_many(pts)
         ref_colors, ref_interior = brute_force_color_at_many(t, pts)
         assert (colors == ref_colors).all()
@@ -447,21 +467,45 @@ class TestColorAt:
 
     @pytest.mark.parametrize("which", ["coloring 1", "coloring 2", "overlapping cells"])
     def test_buckets_list_every_touching_translate(self, which):
-        # every translate whose boundary test a point passes must be listed
-        # in the point's bucket, whether or not its color would win there
+        # every translate whose boundary test a probe passes must be tested
+        # for it, whether or not its color would win there: in a resolved
+        # bucket or sub-bucket the probe lies inside it, with EPS_GEOM to
+        # spare, and its rank is no less than the bucket's; otherwise the
+        # probe's row of the table has a slot of its rank and its edges
         t = locator_case(which)
-        L, Linv, candidates, listed, _ = t._build_locator()
-        g = tiling.LOCATE_GRID
-        frac = Linv @ bucket_probes(t).T
+        loc = t._build_locator()
+        g, s, nc = loc.grid, loc.refine, len(t.priority)
+        pts = np.concatenate([bucket_probes(t), sub_bucket_probes(t)])
+        # the probe's bucket, sub-bucket and base point as rank_at_many finds them
+        frac = t._Linv @ pts.T
         frac -= np.floor(frac)
         ij = np.minimum((frac * g).astype(np.intp), g - 1)
         bucket = ij[0] * g + ij[1]
-        x, y = L @ frac
+        sub = np.minimum(((frac * g - ij) * s).astype(np.intp), s - 1)
+        code = np.where(loc.bucket_rank[bucket] < nc, loc.bucket_rank[bucket],
+                        loc.sub_rank[loc.sub_start[bucket] + sub[0] * s + sub[1]])
+        x, y = t._L @ frac
+        base_cell = ConvexPolygon(np.array([[0, 0], [1, 0], [1, 1], [0, 1]]) @ t._L.T)
         touched = 0
-        for (_, lines), in_bucket in zip(candidates, listed):
-            touching = line_distances(x, y, lines).min(axis=0) >= -EPS_GEOM
-            assert in_bucket[bucket[touching]].all()
-            touched += np.count_nonzero(touching)
+        for poly, color in t.cells:
+            r = t.priority.index(color)
+            for a in range(-2, 3):
+                for b in range(-2, 3):
+                    q = poly.translated(a * t.v1 + b * t.v2)
+                    if polygon_min_distance(q, base_cell) > EPS_GEOM:
+                        continue
+                    edges = edge_lines(q.vertices)
+                    mindist = line_distances(x, y, edges[..., None]).min(axis=0)
+                    touching = mindist >= -EPS_GEOM
+                    held = touching & (code < nc)
+                    assert (mindist[held] > EPS_GEOM).all()
+                    assert (code[held] <= r).all()
+                    # the table's lines that are edges of q, and the probes' slots
+                    own = (loc.lines[:, :, None] == edges[:, None, :]).all(axis=0).any(axis=1)
+                    slots = loc.table[code[touching & (code >= nc)] - nc]
+                    assert (own[slots].all(axis=2)
+                            & (loc.line_rank[slots[..., 0]] == r)).any(axis=1).all()
+                    touched += np.count_nonzero(touching)
         assert touched > len(x)  # boundary probes touch several translates
 
     @pytest.mark.parametrize("which", ["coloring 1", "coloring 2", "overlapping cells"])
@@ -471,10 +515,12 @@ class TestColorAt:
         pts = np.concatenate([rng.uniform(-3, 3, (20_000, 2)), vertex_probes(t)])
         want_ranks, want_interior = t.rank_at_many(pts)
         for g in (1, 7, 16, 64):
-            monkeypatch.setattr(tiling, "LOCATE_GRID", g)
-            ranks, interior = Tiling(t.cells, t.v1, t.v2, t.priority).rank_at_many(pts)
-            assert (ranks == want_ranks).all()
-            assert (interior == want_interior).all()
+            for s in (1, 2, 8):  # 1: no sub-buckets
+                monkeypatch.setattr(tiling, "LOCATE_GRID", g)
+                monkeypatch.setattr(tiling, "LOCATE_REFINE", s)
+                ranks, interior = Tiling(t.cells, t.v1, t.v2, t.priority).rank_at_many(pts)
+                assert (ranks == want_ranks).all()
+                assert (interior == want_interior).all()
 
     @pytest.mark.parametrize("which", ["coloring 1", "coloring 2"])
     def test_most_buckets_resolved(self, which):
@@ -503,6 +549,55 @@ class TestColorAt:
         ref_colors, ref_interior = brute_force_color_at_many(t, pts)
         assert (colors == ref_colors).all()
         assert (interior == ref_interior).all()
+
+    def test_resolved_sub_buckets_keep_spare_margin(self):
+        # as above one level down: the shared edge lies 1.5 EPS_GEOM right of
+        # sub-grid line 4 inside bucket column 40, so sub-columns 3 and 4 are
+        # left to the per-point test and the others resolve
+        g, s = tiling.LOCATE_GRID, tiling.LOCATE_REFINE
+        rot = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+        x = (40 + 4 / s) / g + 1.5 * EPS_GEOM
+        left = ConvexPolygon(np.array([[0, 0], [x, 0], [x, 1], [0, 1]]) @ rot.T)
+        right = ConvexPolygon(np.array([[x, 0], [1, 0], [1, 1], [x, 1]]) @ rot.T)
+        t = Tiling([(left, "orange"), (right, "red")], rot[:, 0], rot[:, 1])
+        loc = t._build_locator()
+        nc = len(t.priority)
+        assert (loc.bucket_rank.reshape(g, g)[39, 1:-1] == t.priority.index("orange")).all()
+        assert (loc.bucket_rank.reshape(g, g)[40] == nc).all()
+        sub = loc.sub_rank[loc.sub_start.reshape(g, g)[40, 1:-1, None, None]
+                           + np.arange(s * s).reshape(s, s)]
+        assert (sub[:, :3] == t.priority.index("orange")).all()
+        assert (sub[:, 3:5] >= nc).all()
+        assert (sub[:, 5:] == t.priority.index("red")).all()
+        pts = sub_bucket_probes(t, 40 * g + np.arange(1, g - 1, 4))
+        colors, interior = t.color_at_many(pts)
+        ref_colors, ref_interior = brute_force_color_at_many(t, pts)
+        assert (colors == ref_colors).all()
+        assert (interior == ref_interior).all()
+
+    @pytest.mark.parametrize("which", ["coloring 1", "coloring 2"])
+    def test_few_points_left_to_the_table(self, which):
+        # the crossing-line test's share of the parallelogram: about 1.5%
+        loc = locator_case(which)._build_locator()
+        assert len(loc.table) / (loc.grid * loc.refine) ** 2 <= 0.025
+
+    @pytest.mark.parametrize("which", ["coloring 1", "coloring 2", "overlapping cells"])
+    def test_far_points(self, which):
+        # moved by a whole lattice vector to just inside the locator's bound,
+        # nudged vertices keep the brute-force answer; just beyond it, the
+        # locator refuses them
+        t = locator_case(which)
+        reach = t._build_locator().reach
+        pts = vertex_probes(t)
+        for k in (int(reach) - 2, -int(reach) + 2):
+            far = pts + k * (t.v1 + t.v2)
+            assert np.abs(far @ t._Linv.T).max() <= reach
+            colors, interior = t.color_at_many(far)
+            ref_colors, ref_interior = brute_force_color_at_many(t, far)
+            assert (colors == ref_colors).all()
+            assert (interior == ref_interior).all()
+        with pytest.raises(RangeError, match=f"beyond {reach:.6g}, where reducing a point"):
+            t.color_at_many(pts + (int(reach) + 2) * t.v1)
 
     @pytest.mark.parametrize("which", ["coloring 1", "coloring 2"])
     def test_input_layout_does_not_matter(self, which):
@@ -630,6 +725,21 @@ class TestMonteCarlo:
         want = one_pass_monte_carlo(t, ct, n, seed)
         monkeypatch.setattr(tiling, "LOCATE_CHUNK", block)
         assert monte_carlo_check(t, ct, n, seed=seed) == want > 0
+
+    @pytest.mark.parametrize("which", ["sabotaged", "red 0.3"])
+    def test_crossing_lines_alone_match_one_pass_oracle(self, monkeypatch, which):
+        # one bucket and no sub-buckets: every point takes the crossing-line test
+        if which == "sabotaged":
+            t, ct = sabotaged_coloring_two(), ColoringType.unit_except(red=0.55)
+        else:
+            t, ct = assemble_block2(constants()), ColoringType.unit_except(red=0.3)
+        monkeypatch.setattr(tiling, "LOCATE_GRID", 1)
+        monkeypatch.setattr(tiling, "LOCATE_REFINE", 1)
+        fresh = Tiling(t.cells, t.v1, t.v2, t.priority)
+        assert monte_carlo_check(fresh, ct, 20_000, seed=6) == one_pass_monte_carlo(
+            t, ct, 20_000, 6) > 0
+        loc = fresh._locator
+        assert (loc.bucket_rank == len(t.priority)).all() and len(loc.table) == 1
 
     @pytest.mark.parametrize("which", ["sabotaged", "red 0.3"])
     @pytest.mark.parametrize("block, n", [(1, 3_001), (7, 3_001), (4_093, 9_001)])
