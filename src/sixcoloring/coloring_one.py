@@ -33,8 +33,10 @@ ALPHA1_SLOPE = ALPHA1_RISE / (D_HIGH - D_LOW)
 # are roundoff at binding configurations and are clamped
 DOMAIN_ROUNDOFF = 1e-12
 
-# the most bisection steps that refine one feasibility band edge
+# the most bisection steps that refine one feasibility band edge, and the
+# width in ulps about its crossing inside which each bisection midpoint is evaluated
 REFINE_ITERS = 50
+REFINE_MARGIN_ULPS = 1024
 
 
 @dataclass(frozen=True)
@@ -261,14 +263,21 @@ def assemble_block(p: Params1) -> Tiling:
 # --- feasibility scan ---------------------------------------------------
 
 
+def _least_residual(d: float, alpha1: float):
+    """min(constraints(Params1(d, alpha1)).as_tuple()) + EPS_GEOM, which is >= 0
+    exactly where they are satisfied; None where either raises."""
+    if not (0.0 < d < 1.0 and 0.0 < alpha1 < 180.0):
+        return None
+    try:
+        return min(_residuals(_quantities(FLOATS, d, alpha1), d)) + EPS_GEOM
+    except (DomainError, ZeroDivisionError):
+        return None
+
+
 def _feasible(d: float, alpha1: float) -> bool:
     """Whether constraints(Params1(d, alpha1)).satisfied(), False where either raises."""
-    if not (0.0 < d < 1.0 and 0.0 < alpha1 < 180.0):
-        return False
-    try:
-        return min(_residuals(_quantities(FLOATS, d, alpha1), d)) >= -EPS_GEOM
-    except (DomainError, ZeroDivisionError):
-        return False
+    g = _least_residual(d, alpha1)
+    return g is not None and g >= 0
 
 
 @dataclass(frozen=True)
@@ -282,23 +291,52 @@ class FeasibilityMap:
         return self.bands.get(d)
 
 
-def _refine_edge(d: float, inside: float, step: float) -> float:
+def _refine_edge(d: float, inside: float, g_in: float, step: float) -> float:
     """The feasibility boundary beyond the feasible alpha1 `inside`, toward `step`.
 
-    While inside + step is feasible the band reaches past it, so the bracket
-    moves out there and the step doubles; alpha1 leaving (0, 180) ends this.
-    The bisection stops once the midpoint rounds onto an end, since from
-    then on neither end can move.
+    g_in is _least_residual(d, inside). While inside + step is feasible the
+    bracket moves out there and the step doubles; alpha1 leaving (0, 180) ends
+    this. The edge is what REFINE_ITERS bisection steps then give, stopping once
+    the midpoint rounds onto an end, but few midpoints are evaluated: an Illinois
+    regula falsi (Dowell and Jarratt, 1971) on the least residual, halving while
+    the outer end raises, first narrows the bracket to a feasible f and an
+    infeasible o at most margin = REFINE_MARGIN_ULPS ulps apart. A midpoint more
+    than the margin beyond f inward or beyond o outward is taken as feasible or
+    infeasible; one within the margin, where roundoff may flip the sign, is
+    evaluated. This assumes feasibility does not flip between a bracket end and
+    the regula falsi point that replaced it. An edge of criterion 8's grid takes
+    about 18 evaluations this way, against 46 with every midpoint evaluated.
     """
     outside = inside + step
-    while outside != inside and _feasible(d, outside):
-        inside, step = outside, 2 * step
+    g_out = _least_residual(d, outside)
+    while outside != inside and g_out is not None and g_out >= 0:
+        inside, g_in, step = outside, g_out, 2 * step
         outside = inside + step
+        g_out = _least_residual(d, outside)
+    f, o, margin, f_moved = inside, outside, REFINE_MARGIN_ULPS * math.ulp(inside), None
+    for _ in range(REFINE_ITERS):
+        if abs(o - f) <= margin:
+            break
+        if g_out is None:
+            x = 0.5 * (f + o)
+        else:  # the secant point, at least margin / 2 inside the bracket
+            x = min(max(o + (f - o) * (g_out / (g_out - g_in)), min(f, o) + margin / 2),
+                    max(f, o) - margin / 2)
+        g = _least_residual(d, x)
+        if g is not None and g >= 0:
+            if f_moved and g_out is not None:  # o kept twice: halve its residual
+                g_out *= 0.5
+            f, g_in, f_moved = x, g, True
+        else:
+            if f_moved is False:  # f kept twice
+                g_in *= 0.5
+            o, g_out, f_moved = x, g, False
+    u = 1.0 if o > f else -1.0
     for _ in range(REFINE_ITERS):
         mid = 0.5 * (inside + outside)
         if mid == inside or mid == outside:
             break
-        if _feasible(d, mid):
+        if (f - mid) * u > margin or ((mid - o) * u <= margin and _feasible(d, mid)):
             inside = mid
         else:
             outside = mid
@@ -308,23 +346,24 @@ def _refine_edge(d: float, inside: float, step: float) -> float:
 def feasible_region(d_grid, alpha_grid) -> FeasibilityMap:
     """Scan a (d, alpha1) grid; report per-d feasible alpha1 bands.
 
-    Each d scores the whole alpha grid in one array pass. Band edges are
-    refined by bisection, seeded from grid hits and (when d is in the
-    interpolation range) from default_alpha1(d), so bands narrower than the
-    alpha grid step are still found.
+    Each d scores the whole alpha grid in one array pass. Each band edge is
+    refined by _refine_edge from the extreme grid hit and its residual row or,
+    when no grid point is feasible and d is in the interpolation range, from
+    default_alpha1(d), so bands narrower than the alpha grid step are still
+    found. That takes about 36 scalar evaluations per d on criterion 8's grid.
     """
-    d_grid = list(d_grid)
     alpha_grid = list(alpha_grid)
     step = abs(float(alpha_grid[1] - alpha_grid[0])) if len(alpha_grid) > 1 else 1.0
-    records = []
-    bands = {}
+    records, bands = [], {}
     for d in d_grid:
-        ok = constraints_along(float(d), alpha_grid)[1].tolist()
-        records += [(d, a, f) for a, f in zip(alpha_grid, ok)]
-        hits = [a for a, f in zip(alpha_grid, ok) if f]
-        if not hits and D_LOW <= d <= D_HIGH and _feasible(d, default_alpha1(d)):
-            hits = [default_alpha1(d)]
+        x = float(d)
+        r, ok = constraints_along(x, alpha_grid)
+        records += [(d, a, f) for a, f in zip(alpha_grid, ok.tolist())]
+        hits = [(float(alpha_grid[k]), min(r[k].tolist()) + EPS_GEOM) for k in np.flatnonzero(ok)]
+        if not hits and D_LOW <= x <= D_HIGH:
+            a = default_alpha1(x)
+            hits = [(a, g) for g in [_least_residual(x, a)] if g is not None and g >= 0]
         # the grid may run in any order; the band grows out from its extreme hits
-        bands[d] = (_refine_edge(float(d), float(min(hits)), -step),
-                    _refine_edge(float(d), float(max(hits)), step)) if hits else None
+        bands[d] = (_refine_edge(x, *min(hits), -step),
+                    _refine_edge(x, *max(hits), step)) if hits else None
     return FeasibilityMap(grid=tuple(records), bands=bands)

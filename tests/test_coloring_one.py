@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from sixcoloring import coloring_one
 from sixcoloring.coloring_one import (
     D_HIGH,
     D_LOW,
@@ -16,6 +17,7 @@ from sixcoloring.coloring_one import (
     derive_quantities,
     feasible_region,
     _feasible,
+    _refine_edge,
 )
 from sixcoloring.errors import DomainError, RangeError
 from sixcoloring.geom import polygon_max_distance
@@ -316,6 +318,112 @@ class TestFeasibleRegion:
             lo = rng.uniform(60, 125)
             alphas = np.sort(rng.uniform(lo, lo + rng.uniform(0.5, 60), rng.integers(2, 40)))
             assert_region_matches(rng.uniform(0.30, 0.62, 2).tolist(), alphas.tolist())
+
+    def test_matches_per_point_loop_on_wider_corpus(self):
+        rng = np.random.default_rng(23)
+        outside = [0.30, 0.34, 0.353, 0.556, 0.60]
+        for k in range(10):
+            # ascending, with a first step of 20 to 80 degrees in half of them
+            # so that the 50-step cap ends bisection or the outer end raises;
+            # in multiples of 2^-10 degrees, so that every difference is exact
+            lo = rng.uniform(60, 120)
+            first = rng.uniform(20, 80) if k % 2 else rng.uniform(0.2, 5)
+            steps = [lo, first, *rng.uniform(0.2, 30, rng.integers(0, 8))]
+            alphas = np.cumsum(np.round(np.array(steps) * 1024) / 1024)
+            first = alphas[1] - alphas[0]
+            d_grid = rng.uniform(D_LOW, D_HIGH, 2).tolist() + [outside[k % 5]]
+            assert_region_matches(d_grid, alphas.tolist())
+            assert_reordered_matches(rng, d_grid, alphas.tolist(), first)
+        # d just outside [D_LOW, D_HIGH], where a band exists but only a grid hit finds it
+        fm = feasible_region([0.3536, 0.5531], [113.7327, 127.8879, 150.0])
+        assert None not in fm.bands.values()
+        assert_region_matches([0.3536, 0.5531], [113.7327, 127.8879, 150.0])
+        # no grid point is feasible, so default_alpha1(d) seeds each band
+        grid = [95.0, 100.0, 140.0]
+        d_grid = [D_LOW, 0.45, 0.553, D_HIGH]
+        assert all(not ok for _, _, ok in feasible_region(d_grid, grid).grid)
+        assert_region_matches(d_grid, grid)
+
+    def test_at_most_40_evaluations_per_d(self, monkeypatch):
+        # plain bisection made 92 per d here, 46 for each edge
+        calls = []
+        least_residual = coloring_one._least_residual
+
+        def counted(d, alpha1):
+            calls.append(alpha1)
+            return least_residual(d, alpha1)
+
+        monkeypatch.setattr(coloring_one, "_least_residual", counted)
+        d_grid = [round(d, 3) for d in np.arange(D_LOW, D_HIGH + 1e-9, 0.001)]
+        fm = feasible_region(d_grid, np.arange(95.0, 165.01, 0.5))
+        assert all(fm.band(d) is not None for d in d_grid)
+        assert len(calls) <= 40 * len(d_grid)
+
+
+def plain_edge(g, inside, step):
+    """_refine_edge's bracket, then 50 bisection steps that evaluate every midpoint."""
+    def feasible(a):
+        return g(a) is not None and g(a) >= 0
+
+    outside = inside + step
+    while outside != inside and feasible(outside):
+        inside, step = outside, 2 * step
+        outside = inside + step
+    for _ in range(50):
+        mid = 0.5 * (inside + outside)
+        if feasible(mid):
+            inside = mid
+        else:
+            outside = mid
+    return inside
+
+
+def last_bit(a):
+    return int(math.frexp(a)[0] * 2 ** 53) & 1
+
+
+LO, HI = 105.2468013579, 126.3579024681
+
+
+def linear(a):
+    return 0.01 * min(a - LO, HI - a)
+
+
+def noisy(a):
+    # the sign flips with the last mantissa bit within 6 ulps of either edge
+    near = min(abs(a - LO) / math.ulp(LO), abs(a - HI) / math.ulp(HI)) <= 6
+    return (1e-15 if last_bit(a) else -1e-15) if near else linear(a)
+
+
+def raising_outside(a):
+    return linear(a) if LO - 0.3 < a < HI + 0.3 else None
+
+
+class TestRefineEdge:
+    """_refine_edge against a plain bisection loop, on synthetic least residuals."""
+
+    @pytest.mark.parametrize("g", [linear, noisy, raising_outside])
+    @pytest.mark.parametrize("inside, step", [
+        (120.0, 0.5), (120.0, -0.5), (126.1, 0.5), (105.5, -0.5),
+        (115.0, 3.0), (115.0, -3.0), (120.0, 40.0), (110.0, -70.0), (HI, 1e-9),
+    ])
+    def test_matches_plain_bisection(self, monkeypatch, g, inside, step):
+        monkeypatch.setattr(coloring_one, "_least_residual", lambda d, a: g(a))
+        assert _refine_edge(0.45, inside, g(inside), step) == plain_edge(g, inside, step)
+
+
+def assert_reordered_matches(rng, d_grid, alphas, first):
+    """feasible_region over `alphas` descending, and shuffled with the first two
+    swapped, against per_point_region over `alphas` ascending: the first step
+    of each order has the same size, `first`, so the bands must be equal."""
+    descending = [*alphas, alphas[-1] + first][::-1]
+    shuffled = [alphas[1], alphas[0], *rng.permutation(alphas[2:]).tolist()]
+    for grid, ascending in ((descending, sorted(descending)), (shuffled, alphas)):
+        fm = feasible_region(d_grid, grid)
+        records, bands = per_point_region(d_grid, ascending)
+        feasible = {(d, a): ok for d, a, ok in records}
+        assert list(fm.grid) == [(d, a, feasible[d, a]) for d in d_grid for a in grid]
+        assert fm.bands == bands
 
 
 def per_point_region(d_grid, alpha_grid):
