@@ -71,7 +71,8 @@ def svg_lines(tiling: Tiling, spec: RenderSpec):
     x0, y0, x1, y1 = spec.viewport
     s = spec.scale
     width, height = (x1 - x0) * s, (y1 - y0) * s
-    cells, offsets_a, offsets_b = tiling.translates_meeting((x0, y0), (x1, y1), 0.0)
+    cells, offsets_a, offsets_b = tiling.translates_near((x0, y0), (x1, y1), 0.0,
+                                                         np.arange(len(tiling.cells)))
     order = np.lexsort((cells, offsets_b, offsets_a))
     cells, offsets_a, offsets_b = cells[order], offsets_a[order], offsets_b[order]
 

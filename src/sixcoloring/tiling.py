@@ -27,10 +27,10 @@ COLORS = ("red", "orange", "green", "blue", "yellow", "turquoise")
 # Tiling.from_points' length tolerance; roundoff is about 1e-16, so it catches a wrong vertex only
 LENGTH_TOL = 1e-10
 
-# point location uses a uniform grid of LOCATE_GRID x LOCATE_GRID buckets over fractional
-# lattice coordinates (Edahiro, Kokubo and Asano, ACM TOG 3(2), 1984), each bucket that one
-# cell does not hold split again LOCATE_REFINE x LOCATE_REFINE ways (Samet, 1990), and tests
-# the points of sub-buckets still mixed against the lines that cross them, at most LOCATE_CHUNK
+# point location looks a point up in one table over fractional lattice coordinates: a uniform
+# grid of LOCATE_GRID x LOCATE_GRID buckets (Edahiro, Kokubo and Asano, ACM TOG 3(2), 1984),
+# each split again LOCATE_REFINE x LOCATE_REFINE ways (Samet, 1990), and tests the points
+# of sub-buckets that one cell does not hold against the lines that cross them, at most LOCATE_CHUNK
 # line distances at a time; monte_carlo_check draws its sample LOCATE_CHUNK points at a time,
 # so memory does not grow with n, and runs at most LOCATE_THREADS blocks at once
 LOCATE_GRID = 64
@@ -48,7 +48,7 @@ MAX_OFFSETS = 1 << 20
 
 def _lattice_offsets(v1: np.ndarray, v2: np.ndarray, radius: float):
     """Integer arrays (a, b) of every offset with |a v1 + b v2| <= radius, in
-    lexicographic order, and the float array of those lengths.
+    lexicographic order.
 
     Row a of the disk is the b-interval of half-width
     sqrt(|v2|^2 r^2 - a^2 det^2) / |v2|^2 centred on -a (v1.v2) / |v2|^2, and
@@ -74,11 +74,8 @@ def _lattice_offsets(v1: np.ndarray, v2: np.ndarray, radius: float):
     start = np.repeat(np.cumsum(count) - count, count)
     a, b = np.repeat(a, count), np.arange(total) - start + np.repeat(lo, count)
     vec = a[:, None] * v1 + b[:, None] * v2
-    # np.vecdot reduces each row with the dot kernel np.linalg.norm uses on
-    # one vector, so the lengths agree with it bit for bit
-    length = np.sqrt(np.vecdot(vec, vec))
-    keep = length <= radius
-    return a[keep], b[keep], length[keep]
+    keep = np.sqrt(np.vecdot(vec, vec)) <= radius
+    return a[keep], b[keep]
 
 
 @lru_cache(maxsize=None)
@@ -93,12 +90,6 @@ def _name_table(rows: tuple, pairs: tuple) -> tuple:
     return ([base for base, *_ in split], moved, *moves[moved].T[:, :, None],
             [np.array([*map(names.index, r)]) for _, r in rows],
             np.array([[*map(names.index, p)] for p in pairs], dtype=np.intp).reshape(-1, 2).T)
-
-
-def _box_gap(lo, hi, lo2, hi2):
-    """Distances between the boxes [lo, hi] and [lo2, hi2]; 0 where they meet."""
-    gap = np.maximum(0.0, np.maximum(lo2 - hi, lo - hi2))
-    return np.hypot(gap[..., 0], gap[..., 1])
 
 
 def _per_entry(pe: np.ndarray, n: int):
@@ -125,9 +116,9 @@ def _refine(L, lines, rank, n, ij, R, ec, et, pe, pl):
     crosses the child unless the least exceeds 2 EPS_GEOM; the translate is
     listed unless an edge's greatest is below -2 EPS_GEOM. Returns the
     children's ranks, the least of those listed if one is and no edge
-    crosses, else rank[-1]; and the next level's (ij, R, ec, et, pe, pl)
-    for the other children, keeping per entry the edges that cross, or its
-    first edge if none does.
+    crosses, else rank[-1] plus the child's index among these mixed ones;
+    and the next level's (ij, R, ec, et, pe, pl) for the mixed children,
+    keeping per entry the edges that cross, or its first edge if none does.
     """
     nc, line = rank[-1], lines[:, pl]
     dist = line_distances(*L @ (ij[:, ec[pe]] / R), line)
@@ -153,8 +144,9 @@ def _refine(L, lines, rank, n, ij, R, ec, et, pe, pl):
     cross[:, 0] |= ~cross.any(axis=1)
     q, j = np.nonzero(cross)
     c, u, w = np.unravel_index(np.flatnonzero(mixed), (ij.shape[1], n, n))
-    return out, (ij[:, c] * n + [u, w], R * n, order[ec[e] * (n * n) + k], et[e], q,
-                 pl[dense[e[q], j]])
+    return np.where(mixed, nc + order, out), (ij[:, c] * n + [u, w], R * n,
+                                              order[ec[e] * (n * n) + k], et[e], q,
+                                              pl[dense[e[q], j]])
 
 
 @dataclass(frozen=True)
@@ -176,12 +168,9 @@ class ColoringType:
 class _Locator(NamedTuple):
     """Tiling._build_locator's tables."""
 
-    grid: int                 # LOCATE_GRID and LOCATE_REFINE at the build
-    refine: int
+    grid: int                 # LOCATE_GRID * LOCATE_REFINE at the build
     reach: float              # the largest |fractional coordinate| located
-    bucket_rank: np.ndarray   # rank of each resolved bucket, else len(priority)
-    sub_start: np.ndarray     # per unresolved bucket, the index of its first sub-bucket
-    sub_rank: np.ndarray      # rank of each resolved sub-bucket, else len(priority) + its row
+    cell_rank: np.ndarray     # rank of each resolved cell, else len(priority) + its row
     table: np.ndarray         # (rows, slots, lines): per translate, the lines crossing a row
     lines: np.ndarray         # (5, lines): x, y, dx, dy and length of each line
     line_rank: np.ndarray     # the rank of each line's translate
@@ -245,23 +234,20 @@ class Tiling:
             + np.hypot(*(c - n @ self._L.T).T)
         size = (abs(lo) + abs(hi) + abs(c)).max(initial=0.0)
         radius = radius.max(initial=0.0) + 16 * np.finfo(float).eps * size
-        a, b, _ = _lattice_offsets(self.v1, self.v2, float(radius))
+        a, b = _lattice_offsets(self.v1, self.v2, float(radius))
+        # the moved boxes, coordinates first, and their gaps, 0 where the boxes meet, made
+        # in place so that few (row, offset) arrays are held; n holds integers, so a + n rounds
+        # once, as the integer sum does, and moved box corners are the moved vertices' extremes
+        lo2 = self.v1[:, None, None] * (a.astype(float) + n[:, :1])
+        lo2 += self.v2[:, None, None] * (b.astype(float) + n[:, 1:])
+        hi2 = lo2 + self.box_hi.T[:, cells, None]
+        lo2 += self.box_lo.T[:, cells, None]
+        gap = np.maximum(np.subtract(lo2, hi.T[:, :, None], out=lo2),
+                         np.subtract(lo.T[:, :, None], hi2, out=hi2), out=lo2)
+        del hi2
+        row, k = np.nonzero(np.hypot(*np.maximum(gap, 0.0, out=gap)) <= pad)
         n = n.astype(np.int64)
-        a, b = a + n[:, :1], b + n[:, 1:]
-        off = a[..., None] * self.v1 + b[..., None] * self.v2
-        # moved box corners are the moved vertices' extremes: rounding is monotone
-        lo2, hi2 = self.box_lo[cells, None] + off, self.box_hi[cells, None] + off
-        row, k = np.nonzero(_box_gap(lo[:, None], hi[:, None], lo2, hi2) <= pad)
-        return row, a[row, k], b[row, k]
-
-    def translates_meeting(self, lo, hi, pad):
-        """Integer arrays cell, a, b of every cell translate whose bounding box
-        comes within `pad` of the box [lo, hi], ordered by cell and offset.
-        It asks translates_near one cell at a time, which keeps the
-        temporaries to one per offset."""
-        found = [self.translates_near(lo, hi, pad, [k])[1:] for k in range(len(self.cells))]
-        cell = np.repeat(np.arange(len(found)), [len(a) for a, _ in found])
-        return cell, *(np.concatenate(x) for x in zip(*found))
+        return row, a[k] + n[row, 0], b[k] + n[row, 1]
 
     def validate(self) -> None:
         """Check the partition invariants; raise InvalidTilingError on failure.
@@ -297,18 +283,21 @@ class Tiling:
     # --- point coloring -------------------------------------------------
 
     def _build_locator(self):
-        """The point locator's tables: buckets on two levels, and the lines
-        crossing the sub-buckets left mixed.
+        """The point locator's tables: one table of cell ranks, and the lines
+        crossing the cells left mixed.
 
-        A g x g grid of buckets, g = LOCATE_GRID, splits the base lattice
-        parallelogram in fractional lattice coordinates, and each bucket
-        left mixed splits into s x s sub-buckets, s = LOCATE_REFINE. Each is
-        resolved or left mixed by _refine's rule, the grid in two steps for
-        speed, g1 x g1 and then g / g1 x g / g1, g1 the largest divisor of g
-        up to its square root: each step evaluates only the edges crossing
-        the cell it splits. Each sub-bucket left mixed is a row of the table,
-        a slot per translate it lists with the edges crossing it, or one if
-        none does. rank_at_many gives the argument that makes it sound.
+        The table's (g s) x (g s) cells, g = LOCATE_GRID and s = LOCATE_REFINE,
+        split the base lattice parallelogram in fractional lattice
+        coordinates: g x g buckets, each split into s x s sub-buckets.
+        _refine's rule builds it in three steps, g1 x g1, g / g1 x g / g1 and
+        s x s, g1 the largest divisor of g up to its square root. Each step
+        repeats the table onto the children, writes the children of the cells
+        left mixed in place, and evaluates only the edges crossing the cell it
+        splits, so each entry is a bucket or sub-bucket resolved or left mixed
+        by one rule. A mixed entry holds len(priority) plus its index among
+        those of its step; after the last step that index is its row of the
+        table, a slot per translate it lists with the edges crossing it, or
+        one if none does. rank_at_many gives the argument that makes it sound.
         """
         g, s, nc = LOCATE_GRID, LOCATE_REFINE, len(self.priority)
         L = self._L
@@ -322,33 +311,27 @@ class Tiling:
         t, k = np.nonzero(lines[4] > 0)
         lines = np.c_[lines[:, t, k], [0, 0, 0, 0, 1]]
         rank = np.array([self.priority.index(self.cells[c][1]) for c in cell.tolist()] + [nc])
-        # the whole parallelogram lists every translate, with all its edges
+        # the whole parallelogram, one mixed cell, lists every translate with all its edges
+        cell_rank = np.full((1, 1), nc, dtype=np.int32)
         level = np.zeros((2, 1), dtype=np.intp), 1, np.zeros_like(cell), np.arange(len(cell)), \
             t, np.arange(len(t))
         g1 = max(d for d in range(1, math.isqrt(g) + 1) if g % d == 0)
-        n = g // g1
-        coarse, level = _refine(L, lines, rank, g1, *level)
-        bucket_rank = np.repeat(np.repeat(coarse.reshape(g1, g1), n, 0), n, 1)
-        ij = level[0]
-        fine, level = _refine(L, lines, rank, n, *level)
-        c, u, w = np.unravel_index(np.arange(len(fine)), (ij.shape[1], n, n))
-        bucket_rank[ij[0, c] * n + u, ij[1, c] * n + w] = fine
-        ij = level[0]
-        sub_start = np.zeros(g * g, dtype=np.intp)
-        sub_start[ij[0] * g + ij[1]] = np.arange(ij.shape[1]) * (s * s)
-        sub_rank, (_, _, row, _, pe, pl) = _refine(L, lines, rank, s, *level)
-        mixed = np.flatnonzero(sub_rank == nc)
-        sub_rank[mixed] = nc + np.arange(len(mixed))
+        for n in (g1, g // g1, s):
+            (i, j), m = level[0], len(cell_rank)
+            out, level = _refine(L, lines, rank, n, *level)
+            cell_rank = np.repeat(np.repeat(cell_rank, n, 0), n, 1)
+            cell_rank.reshape(m, n, m, n)[i, :, j] = out.reshape(-1, n, n)
+        ij, _, row, _, pe, pl = level
         # a row's slots, each a translate's lines padded by repeating its last
         dense, _ = _per_entry(pe, len(row))
         order = np.argsort(row, kind="stable")
-        count = np.bincount(row, minlength=len(mixed))
+        count = np.bincount(row, minlength=ij.shape[1])
         slot = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
-        table = np.full((len(mixed), count.max(initial=1), dense.shape[1]), len(t))
+        table = np.full((ij.shape[1], count.max(initial=1), dense.shape[1]), len(t))
         table[row[order], slot] = pl[dense[order]]
         reach = EPS_GEOM / (4 * np.finfo(float).eps * (np.hypot(*self.v1) + np.hypot(*self.v2)))
-        self._locator = _Locator(g, s, float(reach), bucket_rank.ravel(), sub_start, sub_rank,
-                                 table, lines, rank[np.r_[t, len(cell)]])
+        self._locator = _Locator(g * s, float(reach), cell_rank.ravel(), table, lines,
+                                 rank[np.r_[t, len(cell)]])
         return self._locator
 
     def rank_at_many(self, pts: np.ndarray):
@@ -360,26 +343,26 @@ class Tiling:
         color among the cells containing it; a boundary point, among the cells
         it touches.
 
-        A point in a resolved bucket or sub-bucket (see _build_locator) takes
-        its rank and is interior; another point takes the per-point test
-        over its sub-bucket's row of the table. Both give the per-point
-        test's answer over every edge of every translate. A signed edge
-        distance is affine in the point and a bucket is a parallelogram, so
-        over the bucket it lies between its values at the four corners. A
-        translate the point touches has every edge distance >= -EPS_GEOM
-        there, so no edge has all four corners below -2 EPS_GEOM and it is
-        listed at every level. In a resolved bucket every point is more than
-        2 EPS_GEOM inside each listed translate, and an edge left out of a
-        row is more than 2 EPS_GEOM inside at the whole sub-bucket, so it
-        changes neither comparison with +-EPS_GEOM. The per-point test asks
-        only for EPS_GEOM, and the other EPS_GEOM is far more than the
+        A point in a resolved cell of the rank table, a bucket or sub-bucket
+        (see _build_locator), takes its rank and is interior; another point
+        takes the per-point test over its cell's row of the table. Both give
+        the per-point test's answer over every edge of every translate. A
+        signed edge distance is affine in the point and a bucket is a
+        parallelogram, so over the bucket it lies between its values at the
+        four corners. A translate the point touches has every edge distance
+        >= -EPS_GEOM there, so no edge has all four corners below -2 EPS_GEOM
+        and it is listed at every level. In a resolved bucket every point is
+        more than 2 EPS_GEOM inside each listed translate, and an edge left
+        out of a row is more than 2 EPS_GEOM inside at the whole sub-bucket,
+        so it changes neither comparison with +-EPS_GEOM. The per-point test
+        asks only for EPS_GEOM, and the other EPS_GEOM is far more than the
         rounding of the matmuls `frac = Linv @ P` and `L @ frac`, of the
-        corner values and of the distances: about 1e-15 for cells and
-        lattice vectors of size near 1, growing in proportion to their size.
-        So ranks and masks are the same bits as the per-point test's,
-        overlapping cells included. Reducing a point to the parallelogram
-        rounds it by about eps |frac| (|v1| + |v2|), so RangeError refuses
-        points where that could exceed EPS_GEOM / 4.
+        corner values and of the distances: about 1e-15 for cells and lattice
+        vectors of size near 1, growing in proportion to their size. So ranks
+        and masks are the same bits as the per-point test's, overlapping
+        cells included. Reducing a point to the parallelogram rounds it by
+        about eps |frac| (|v1| + |v2|), so RangeError refuses points where
+        that could exceed EPS_GEOM / 4.
 
         The points travel as (2, n) rows P = pts.T, coordinates first, so
         each numpy pass runs over n contiguous values instead of n pairs; a
@@ -392,7 +375,7 @@ class Tiling:
             raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
         if self._locator is None:
             self._build_locator()
-        g, s, reach, bucket_rank, sub_start, sub_rank, table, lines, line_rank = self._locator
+        g, reach, cell_rank, table, lines, line_rank = self._locator
         frac = self._Linv @ pts.T
         far = np.maximum(frac.max(initial=0.0), -frac.min(initial=0.0))  # NaN stays NaN
         if not far <= reach:
@@ -404,26 +387,16 @@ class Tiling:
         # the cast to intp truncates as astype does; no float temporary is made
         ij = np.multiply(frac, g, out=np.empty(frac.shape, dtype=np.intp), casting="unsafe")
         np.minimum(ij, g - 1, out=ij)
-        bucket = ij[0]
-        bucket *= g
-        bucket += ij[1]
+        cell = ij[0]
+        cell *= g
+        cell += ij[1]
         nc = len(self.priority)
-        ranks = bucket_rank[bucket]
+        ranks = cell_rank[cell].astype(np.intp)
         interior = ranks < nc
         slow = np.flatnonzero(~interior)
-        # only the other points' coordinates and buckets outlive the lookup
-        f = frac[:, slow]
-        base, slow_bucket = self._L @ f, bucket[slow]
-        del frac, ij, bucket
-        # each point's sub-bucket, from its place in its bucket
-        f *= g
-        f -= np.minimum(np.floor(f), g - 1)
-        sub = np.minimum((f * s).astype(np.intp), s - 1)
-        code = sub_rank[sub_start[slow_bucket] + sub[0] * s + sub[1]]
-        done = code < nc
-        ranks[slow[done]] = code[done]
-        interior[slow[done]] = True
-        slow, rows, base = slow[~done], code[~done] - nc, base[:, ~done]
+        # only the other points' coordinates and rows outlive the lookup
+        rows, base = ranks[slow] - nc, self._L @ frac[:, slow]
+        del frac, ij, cell
         step = max(1, LOCATE_CHUNK // (table.shape[1] * table.shape[2]))
         for start in range(0, len(slow), step):
             chunk, idx = slow[start:start + step], table[rows[start:start + step]]

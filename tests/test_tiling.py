@@ -148,12 +148,10 @@ class TestLatticeOffsets:
         for v1, v2 in lattices:
             s = np.linalg.svd(np.column_stack([v1, v2]), compute_uv=False)[-1]
             for radius in (0.0, 0.7, 2.5, float(np.hypot(*v1))):
-                a, b, length = _lattice_offsets(v1, v2, radius)
+                a, b = _lattice_offsets(v1, v2, radius)
                 bound = int(np.ceil(radius / s)) + 1
                 assert list(zip(a.tolist(), b.tolist())) == \
                     self.loop_offsets(v1, v2, radius, bound)
-                assert length.tolist() == [np.linalg.norm(x * v1 + y * v2)
-                                           for x, y in zip(a, b)]
 
     def test_memory_follows_offsets_returned(self):
         # a bounding square of this skewed lattice at radius 5 holds ~10^8
@@ -161,7 +159,7 @@ class TestLatticeOffsets:
         v1, v2 = np.array([1.0, 0.0]), np.array([1000.0, 1.0])
         tracemalloc.start()
         try:
-            a, b, _ = _lattice_offsets(v1, v2, 5.0)
+            a, b = _lattice_offsets(v1, v2, 5.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -178,6 +176,8 @@ class TestLatticeOffsets:
 
 
 class TestTranslatesMeeting:
+    """translates_near asked for every cell against one box, as render asks it."""
+
     @staticmethod
     def square_loop(t, lo, hi, pad, bound=6):
         """(cell, a, b) of every translate with |a - a_c|, |b - b_c| <= bound
@@ -205,7 +205,7 @@ class TestTranslatesMeeting:
                 for scale in [100.0] * 6 + [1e16] * 3:
                     lo = rng.uniform(-scale, scale, 2)
                     hi = lo + rng.uniform(0, 3, 2)
-                    cell, a, b = t.translates_meeting(lo, hi, pad)
+                    cell, a, b = t.translates_near(lo, hi, pad, np.arange(len(t.cells)))
                     assert list(zip(cell.tolist(), a.tolist(), b.tolist())) == \
                         self.square_loop(t, lo, hi, pad)
                     assert len(cell) > 0 or t is tilings[-1]  # its cells leave gaps
@@ -221,7 +221,7 @@ class TestTranslatesMeeting:
     def test_huge_box_rejected(self):
         t2 = assemble_block2(constants())
         with pytest.raises(RangeError, match="too large"):
-            t2.translates_meeting((0.0, 0.0), (1e7, 1e7), 0.0)
+            t2.translates_near((0.0, 0.0), (1e7, 1e7), 0.0, np.arange(len(t2.cells)))
 
 
 class TestCellColors:

@@ -119,14 +119,23 @@ def bucket_probes(t):
     return nudged(frac @ np.column_stack([t.v1, t.v2]).T)
 
 
+def bucket_ranks(t):
+    """Per bucket of the point locator's g x g grid, (g, g): the rank its
+    s x s cells of the rank table hold if they hold one rank below
+    len(priority), else len(priority)."""
+    g, s, nc = tiling.LOCATE_GRID, tiling.LOCATE_REFINE, len(t.priority)
+    cells = t._build_locator().cell_rank.reshape(g, s, g, s)
+    lo, hi = cells.min(axis=(1, 3)), cells.max(axis=(1, 3))
+    return np.where((lo == hi) & (hi < nc), hi, nc)
+
+
 def sub_bucket_probes(t, mixed=None):
     """Every corner and edge midpoint of the sub-buckets of the unresolved
     buckets `mixed`, by default 24 spread evenly over them in index order,
     each nudged by 0 or +-EPS_GEOM / 2 per axis."""
-    loc = t._build_locator()
-    g, s = loc.grid, loc.refine
+    g, s = tiling.LOCATE_GRID, tiling.LOCATE_REFINE
     if mixed is None:
-        mixed = np.flatnonzero(loc.bucket_rank == len(t.priority))
+        mixed = np.flatnonzero(bucket_ranks(t) == len(t.priority))
         mixed = mixed[np.unique(np.linspace(0, len(mixed) - 1, 24).astype(int))]
     k = np.arange(2 * s + 1)
     i, j = (x.ravel() for x in np.meshgrid(k, k, indexing="ij"))
@@ -461,9 +470,9 @@ class TestColorAt:
         # whole buckets lie inside both cells; they resolve to red, the
         # higher priority, although orange is listed first
         t = overlapping_tiling()
-        bucket_rank = t._build_locator().bucket_rank
-        assert (bucket_rank == t.priority.index("red")).any()
-        assert (bucket_rank == t.priority.index("orange")).any()
+        ranks = bucket_ranks(t)
+        assert (ranks == t.priority.index("red")).any()
+        assert (ranks == t.priority.index("orange")).any()
 
     @pytest.mark.parametrize("which", ["coloring 1", "coloring 2", "overlapping cells"])
     def test_buckets_list_every_touching_translate(self, which):
@@ -474,16 +483,13 @@ class TestColorAt:
         # probe's row of the table has a slot of its rank and its edges
         t = locator_case(which)
         loc = t._build_locator()
-        g, s, nc = loc.grid, loc.refine, len(t.priority)
+        g, nc = loc.grid, len(t.priority)
         pts = np.concatenate([bucket_probes(t), sub_bucket_probes(t)])
-        # the probe's bucket, sub-bucket and base point as rank_at_many finds them
+        # the probe's cell of the rank table and base point as rank_at_many finds them
         frac = t._Linv @ pts.T
         frac -= np.floor(frac)
         ij = np.minimum((frac * g).astype(np.intp), g - 1)
-        bucket = ij[0] * g + ij[1]
-        sub = np.minimum(((frac * g - ij) * s).astype(np.intp), s - 1)
-        code = np.where(loc.bucket_rank[bucket] < nc, loc.bucket_rank[bucket],
-                        loc.sub_rank[loc.sub_start[bucket] + sub[0] * s + sub[1]])
+        code = loc.cell_rank[ij[0] * g + ij[1]]
         x, y = t._L @ frac
         base_cell = ConvexPolygon(np.array([[0, 0], [1, 0], [1, 1], [0, 1]]) @ t._L.T)
         touched = 0
@@ -527,23 +533,22 @@ class TestColorAt:
         # the point locator's speed rests on this; a bucket classification
         # that resolves nothing would still give right answers, slowly
         t = locator_case(which)
-        bucket_rank = t._build_locator().bucket_rank
-        assert np.mean(bucket_rank < len(t.priority)) >= 0.85
+        assert np.mean(bucket_ranks(t) < len(t.priority)) >= 0.85
 
     def test_resolved_buckets_keep_spare_margin(self):
         # the shared edge lies 1.5 EPS_GEOM right of the bucket column
         # ending at grid line 40: the per-point test calls those corners
         # interior to the left cell, but a bucket is resolved only with
         # EPS_GEOM to spare, so the column is left to the per-point test
-        g = tiling.LOCATE_GRID
+        g, s = tiling.LOCATE_GRID, tiling.LOCATE_REFINE
         rot = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
         x = 40 / g + 1.5 * EPS_GEOM
         left = ConvexPolygon(np.array([[0, 0], [x, 0], [x, 1], [0, 1]]) @ rot.T)
         right = ConvexPolygon(np.array([[x, 0], [1, 0], [1, 1], [x, 1]]) @ rot.T)
         t = Tiling([(left, "orange"), (right, "red")], rot[:, 0], rot[:, 1])
-        bucket_rank = t._build_locator().bucket_rank.reshape(g, g)
-        assert (bucket_rank[38, 1:-1] == t.priority.index("orange")).all()
-        assert (bucket_rank[39] == len(t.priority)).all()
+        cells = t._build_locator().cell_rank.reshape(g, s, g, s)
+        assert (cells[38, :, 1:-1] == t.priority.index("orange")).all()
+        assert (bucket_ranks(t)[39] == len(t.priority)).all()
         pts = bucket_probes(t)
         colors, interior = t.color_at_many(pts)
         ref_colors, ref_interior = brute_force_color_at_many(t, pts)
@@ -560,15 +565,14 @@ class TestColorAt:
         left = ConvexPolygon(np.array([[0, 0], [x, 0], [x, 1], [0, 1]]) @ rot.T)
         right = ConvexPolygon(np.array([[x, 0], [1, 0], [1, 1], [x, 1]]) @ rot.T)
         t = Tiling([(left, "orange"), (right, "red")], rot[:, 0], rot[:, 1])
-        loc = t._build_locator()
+        cells = t._build_locator().cell_rank.reshape(g, s, g, s)
         nc = len(t.priority)
-        assert (loc.bucket_rank.reshape(g, g)[39, 1:-1] == t.priority.index("orange")).all()
-        assert (loc.bucket_rank.reshape(g, g)[40] == nc).all()
-        sub = loc.sub_rank[loc.sub_start.reshape(g, g)[40, 1:-1, None, None]
-                           + np.arange(s * s).reshape(s, s)]
-        assert (sub[:, :3] == t.priority.index("orange")).all()
-        assert (sub[:, 3:5] >= nc).all()
-        assert (sub[:, 5:] == t.priority.index("red")).all()
+        assert (cells[39, :, 1:-1] == t.priority.index("orange")).all()
+        assert (bucket_ranks(t)[40] == nc).all()
+        sub = cells[40, :, 1:-1]  # (sub-row, bucket column, sub-column)
+        assert (sub[:3] == t.priority.index("orange")).all()
+        assert (sub[3:5] >= nc).all()
+        assert (sub[5:] == t.priority.index("red")).all()
         pts = sub_bucket_probes(t, 40 * g + np.arange(1, g - 1, 4))
         colors, interior = t.color_at_many(pts)
         ref_colors, ref_interior = brute_force_color_at_many(t, pts)
@@ -579,7 +583,7 @@ class TestColorAt:
     def test_few_points_left_to_the_table(self, which):
         # the crossing-line test's share of the parallelogram: about 1.5%
         loc = locator_case(which)._build_locator()
-        assert len(loc.table) / (loc.grid * loc.refine) ** 2 <= 0.025
+        assert len(loc.table) / loc.grid ** 2 <= 0.025
 
     @pytest.mark.parametrize("which", ["coloring 1", "coloring 2", "overlapping cells"])
     def test_far_points(self, which):
@@ -739,7 +743,7 @@ class TestMonteCarlo:
         assert monte_carlo_check(fresh, ct, 20_000, seed=6) == one_pass_monte_carlo(
             t, ct, 20_000, 6) > 0
         loc = fresh._locator
-        assert (loc.bucket_rank == len(t.priority)).all() and len(loc.table) == 1
+        assert loc.cell_rank.tolist() == [len(t.priority)] and len(loc.table) == 1
 
     @pytest.mark.parametrize("which", ["sabotaged", "red 0.3"])
     @pytest.mark.parametrize("block, n", [(1, 3_001), (7, 3_001), (4_093, 9_001)])
