@@ -13,6 +13,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +62,7 @@ DerivedQuantities1 = namedtuple("DerivedQuantities1", (
     "alpha2 alpha3 alpha5 alpha7 alpha8 c H"))
 
 
-@dataclass(frozen=True)
-class ConstraintResiduals:
+class ConstraintResiduals(NamedTuple):
     """Signed residuals of the six validity constraints; >= 0 means satisfied."""
 
     r1: float  # d - s4
@@ -73,10 +73,10 @@ class ConstraintResiduals:
     r6: float  # h1 + h3 + d - 1
 
     def as_tuple(self) -> tuple:
-        return (self.r1, self.r2, self.r3, self.r4, self.r5, self.r6)
+        return tuple(self)
 
     def satisfied(self) -> bool:
-        return min(self.as_tuple()) >= -EPS_GEOM
+        return min(self) >= -EPS_GEOM
 
 
 # --- the formulas, over a numeric backend --------------------------------

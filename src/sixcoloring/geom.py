@@ -115,53 +115,43 @@ def convex_cells(polys) -> tuple:
     return [ConvexPolygon._of(v[r, :n]) for r, n in enumerate(counts.tolist())], v, counts, areas
 
 
-def penetration_depths(p, q):
-    """Penetration depths of the convex polygons p[k] and q[k], padded as
-    polygon_distances takes them, by the separating-axis theorem: the least
-    overlap of their projections onto the unit edge normals of both (padding
-    edges have none). They meet iff it is at least 0, and where it is
-    positive their intersection lies in a slab that wide."""
-    least = np.inf
-    for v in (p, q):
-        edges = _succ(v, 1) - v
-        length = np.hypot(edges[..., 0], edges[..., 1])
-        u = (edges / np.where(length > 0, length, 1.0)[..., None])[..., None, :]
-        # the projection onto edge e's normal is cross(u_e, w); axis 2 runs over vertices
-        (plo, phi), (qlo, qhi) = [(x.min(axis=2), x.max(axis=2)) for x in
-                                  (u[..., 0] * w[:, None, :, 1] - u[..., 1] * w[:, None, :, 0]
-                                   for w in (p, q))]
-        overlap = np.where(length > 0, np.minimum(phi, qhi) - np.maximum(plo, qlo), np.inf)
-        least = np.minimum(least, overlap.min(axis=1))
-    return least
-
-
 def polygon_distances(p, q):
     """Minimum and maximum distances between the closed regions p[k] and q[k]
-    for every k at once; the minimum is 0 where they intersect.
+    for every k at once, and their depth; the minimum is 0 where they meet.
 
     p (k, m, 2) and q (k, m', 2), or arrays broadcasting to those, hold convex
     polygons counterclockwise, padded by repeating vertex 0. That adds only
     zero-length edges (edge e runs from vertex e to e + 1), which a
     ConvexPolygon never has; masked out, they leave every result unchanged.
+
+    The depth is the least, over the edges of both, of the largest signed
+    distance (line_distances) of the other's vertices from the edge's line.
+    They meet iff it is at least 0, as the separating-axis theorem gives: 0
+    lies outside p - q iff one of its edges leaves 0 strictly outside, and
+    each is an edge of p or of -q. Where they meet, their intersection lies
+    in a slab that wide along that edge.
     """
-    # they meet where no edge normal separates them; otherwise a vertex and
-    # an edge of the other realize the minimum
-    meet = penetration_depths(p, q) >= 0
     # coordinates first: numpy reduces a leading axis of length 2 far faster
     # than a trailing one; axis 2 runs over p's vertices or edges, 3 over q's
     p, q = p.transpose(2, 0, 1), q.transpose(2, 0, 1)
     a0, a1 = p[..., None], _succ(p, 2)[..., None]
     b0, b1 = q[:, :, None], _succ(q, 2)[:, :, None]
     ea, eb, ab, ba = a1 - a0, b1 - b0, a0 - b0, b0 - a0
-    near = []
-    for pts, s0, e, rel in ((a0, b0, eb, ab), (b0, a0, ea, ba)):
+    near, depth = [], np.inf
+    # p's vertices against q's edges, then q's against p's: the vertices run
+    # over axis 1, then 2, of the (k, m, m') results
+    for pts, s0, e, rel, axis in ((a0, b0, eb, ab, 1), (b0, a0, ea, ba, 2)):
         denom = (e ** 2).sum(axis=0)
         real = denom > 0
-        t = np.clip((rel * e).sum(axis=0) / np.where(real, denom, 1.0), 0.0, 1.0)
+        denom = np.where(real, denom, 1.0)
+        t = np.clip((rel * e).sum(axis=0) / denom, 0.0, 1.0)
         r = pts - (s0 + t * e)
         near.append(np.where(real, np.sqrt((r ** 2).sum(axis=0)), np.inf))
-    return (np.where(meet, 0.0, np.minimum(*near).min(axis=(1, 2))),
-            np.sqrt((ab ** 2).sum(axis=0)).max(axis=(1, 2)))
+        inner = line_distances(*rel, (0.0, 0.0, *e, np.sqrt(denom)))
+        depth = np.minimum(depth, np.where(real, inner, np.inf).max(axis=axis).min(axis=1))
+    # where they are apart a vertex and an edge of the other realize the minimum
+    return (np.where(depth >= 0, 0.0, np.minimum(*near).min(axis=(1, 2))),
+            np.sqrt((ab ** 2).sum(axis=0)).max(axis=(1, 2)), depth)
 
 
 def polygon_max_distance(p: ConvexPolygon, q: ConvexPolygon) -> float:

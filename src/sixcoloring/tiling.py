@@ -18,7 +18,7 @@ from .geom import (
     convex_intersection_area,
     edge_lines,
     line_distances,
-    penetration_depths,
+    polygon_distances,
 )
 
 # the colors, highest priority first: a boundary point gets the first incident one
@@ -71,10 +71,17 @@ def _lattice_offsets(v1: np.ndarray, v2: np.ndarray, radius: float):
     total = int(count.sum())
     if total > MAX_OFFSETS:
         raise RangeError(f"lattice neighbourhood of radius {radius} is too large")
-    start = np.repeat(np.cumsum(count) - count, count)
-    a, b = np.repeat(a, count), np.arange(total) - start + np.repeat(lo, count)
-    vec = a[:, None] * v1 + b[:, None] * v2
-    keep = np.sqrt(np.vecdot(vec, vec)) <= radius
+    # row a's offsets lo, ..., hi start at entry cumsum(count) - count
+    a = np.repeat(a, count)
+    b = np.arange(total) - np.repeat(np.cumsum(count) - count - lo, count)
+    # the offsets' lengths, from vectors made coordinates first and in place,
+    # so that at most five values per offset are held at once, a and b among them
+    xy = v1[:, None] * a
+    for k in range(2):
+        xy[k] += v2[k] * b
+    length = np.vecdot(xy, xy, axis=0)
+    del xy
+    keep = np.sqrt(length, out=length) <= radius
     return a[keep], b[keep]
 
 
@@ -256,8 +263,9 @@ class Tiling:
         translates may overlap by more than OVERLAP_AREA_TOL. Cells i <= j are
         compared at every offset where their bounding boxes meet (see
         translates_near). Their intersection lies in a slab as wide as their
-        penetration depth, raised by 8 eps max(|x| + |y|) for rounding, and
-        spans at most the smaller box diagonal across it. A pair whose area
+        depth from polygon_distances, raised by 10 eps max(|x| + |y|) for
+        rounding (8 eps to first order, as README derives), and spans at
+        most the smaller box diagonal across it. A pair whose area
         bound is at most OVERLAP_AREA_TOL / 2 cannot overlap: the other half
         covers the clip's own rounding, for cells of size near 1. Only the
         other pairs are clipped, in order.
@@ -273,7 +281,7 @@ class Tiling:
         p = self.padded_vertices[pi]
         q = self.padded_vertices[pj] + (pa[:, None] * self.v1 + pb[:, None] * self.v2)[:, None]
         size = np.maximum(abs(p).sum(axis=2).max(axis=1), abs(q).sum(axis=2).max(axis=1))
-        depth = np.maximum(penetration_depths(p, q), 0.0) + 8 * np.finfo(float).eps * size
+        depth = np.maximum(polygon_distances(p, q)[2], 0.0) + 10 * np.finfo(float).eps * size
         clip = depth * np.minimum(self._box_diags[pi], self._box_diags[pj]) > OVERLAP_AREA_TOL / 2
         for i, j, a, b in zip(*(x[clip].tolist() for x in (pi, pj, pa, pb))):
             q = self.cells[j][0].translated(a * self.v1 + b * self.v2)

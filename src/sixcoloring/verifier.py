@@ -80,7 +80,7 @@ def _pair_table(t: Tiling, ct: ColoringType) -> tuple:
     i, j, a, b = i[keep], j[keep], a[keep], b[keep]
     off = a[:, None] * t.v1 + b[:, None] * t.v2
     # a cell meets itself at its vertex 0, so its minimum is exactly 0
-    mn, mx = polygon_distances(t.padded_vertices[i], t.padded_vertices[j] + off[:, None])
+    mn, mx, _ = polygon_distances(t.padded_vertices[i], t.padded_vertices[j] + off[:, None])
     return colors[i], i, j, a, b, dist[i], mn, mx
 
 

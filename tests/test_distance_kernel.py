@@ -12,6 +12,14 @@ spatial = pytest.importorskip("scipy.spatial")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from sixcoloring.coloring_one import (  # noqa: E402
+    D_HIGH,
+    D_LOW,
+    Params1,
+    assemble_block,
+    default_alpha1,
+)
+from sixcoloring.coloring_two import assemble_block2, constants  # noqa: E402
 from sixcoloring.geom import (  # noqa: E402
     ConvexPolygon,
     polygon_distances,
@@ -101,13 +109,19 @@ def test_kernel_matches_references(cases):
         assume(p is not None and q is not None)
         q = place(p, q, how, np.array(shift))
         pairs.append((q, p) if swap else (p, q))
-    mn, mx = polygon_distances(padded([p for p, _ in pairs]), padded([q for _, q in pairs]))
-    for (p, q), lo, hi in zip(pairs, mn, mx):
+    mn, mx, depth = polygon_distances(padded([p for p, _ in pairs]),
+                                      padded([q for _, q in pairs]))
+    for (p, q), lo, hi, deep in zip(pairs, mn, mx, depth):
         # padding moves no bit: the batch gives each pair's own k = 1 answer
         assert lo == polygon_min_distance(p, q)
         assert hi == polygon_max_distance(p, q)
+        # the depth takes the same signed distances either way round
+        assert deep == polygon_distances(q.vertices[None], p.vertices[None])[2][0]
+        # the cross products of quarter units are exact, and the division
+        # by the edge length keeps their sign
+        assert (deep >= 0) == exact_intersect(p, q)
         if exact_intersect(p, q):
-            assert lo <= 1e-12
+            assert lo == 0.0
         else:
             assert lo == pytest.approx(plain_min_distance(p, q), rel=1e-12, abs=1e-12)
         assert hi == pytest.approx(plain_max_distance(p, q), rel=1e-12)
@@ -118,6 +132,16 @@ def test_proper_crossing_without_contained_vertex():
     bar = ConvexPolygon(np.array([[-2, -0.25], [2, -0.25], [2, 0.25], [-2, 0.25]]))
     upright = ConvexPolygon(bar.vertices[:, ::-1])
     assert exact_intersect(bar, upright)
-    mn, mx = polygon_distances(padded([bar, upright]), padded([upright, bar]))
+    mn, mx, _ = polygon_distances(padded([bar, upright]), padded([upright, bar]))
     assert mn.tolist() == [0.0, 0.0]
     assert mx == pytest.approx([math.hypot(2.25, 2.25)] * 2, rel=1e-15)
+
+
+def test_cells_meet_themselves():
+    # each vertex lies on its own edge's line at distance exactly 0, so the
+    # verifier's pair table takes a cell's minimum with itself as exactly 0
+    tilings = [assemble_block(Params1(d, default_alpha1(d))) for d in (D_LOW, 0.45, D_HIGH)]
+    for t in tilings + [assemble_block2(constants())]:
+        mn, _, depth = polygon_distances(t.padded_vertices, t.padded_vertices)
+        assert (depth >= 0).all()
+        assert mn.tolist() == [0.0] * len(t.cells)

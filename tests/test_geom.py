@@ -14,7 +14,7 @@ from sixcoloring.geom import (
     convex_intersection_area,
     edge_lines,
     line_distances,
-    penetration_depths,
+    polygon_distances,
     polygon_max_distance,
     polygon_min_distance,
 )
@@ -288,7 +288,7 @@ class TestAreaAndIntersection:
             p, q = random_convex_polygon(rng), random_convex_polygon(rng)
             q = q.translated(p.vertices.mean(axis=0) - q.vertices.mean(axis=0)
                              + rng.uniform(-3, 3, 2))
-            depth = penetration_depths(p.vertices[None], q.vertices[None])[0]
+            depth = polygon_distances(p.vertices[None], q.vertices[None])[2][0]
             diam = min(polygon_max_distance(p, p), polygon_max_distance(q, q))
             assert convex_intersection_area(p, q) <= max(depth, 0.0) * diam + 1e-12
             assert (depth < 0) == (brute_force_min_distance(p, q) > 0)

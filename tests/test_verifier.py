@@ -1,6 +1,7 @@
 """Tests for the distance-avoidance verifier and Monte Carlo cross-check."""
 
 import collections
+import hashlib
 import os
 import re
 import signal
@@ -392,6 +393,55 @@ class TestCriticalWitnesses:
         sq = ConvexPolygon(np.array([[0, 0], [0.1, 0], [0.1, 0.1], [0, 0.1]]))
         t = Tiling([(sq, "red")], (3.0, 0.0), (0.0, 3.0))
         assert critical_witnesses(t, ColoringType(distances={"red": 1.0})) == []
+
+
+def witness_bits(witnesses):
+    return [(w.color, w.pair, w.offset, *(x.hex() for x in (*w.interval, w.distance)))
+            for w in witnesses]
+
+
+def verdict_records(t, d):
+    """validate's message and the open, closed and binding verdicts of t at
+    red distance d, every interval as its bits."""
+    try:
+        t.validate()
+        records = ["partition"]
+    except InvalidTilingError as e:
+        records = [str(e)]
+    ct = ColoringType.unit_except(red=d)
+    for strictness in ("open", "closed"):
+        r = verify(t, ct, strictness, validate=False)
+        records.append((r.verdict, r.pairs_checked, witness_bits(r.witnesses)))
+    return records + [witness_bits(critical_witnesses(t, ct))]
+
+
+class TestPinnedVerdicts:
+    # SHA-1 of the records below, as the two-sided separating-axis kernel
+    # gave them; a change to the pair kernel must keep every bit
+    PINNED = "52c4ac44fa0004cde43ca10c78c6010845de9d38"
+
+    def test_grid_verdicts_unchanged(self):
+        t0 = time.perf_counter()
+        records = []
+        # coloring 1 across its feasible band and beyond it on both sides
+        for d in np.linspace(0.30, 0.60, 13).tolist():
+            for alpha1 in np.linspace(95.0, 150.0, 23).tolist():
+                try:
+                    t = assemble_block(Params1(d, alpha1))
+                except ValueError as e:
+                    records.append((d, alpha1, type(e).__name__, str(e)))
+                    continue
+                records.append((d, alpha1, verdict_records(t, d)))
+        # coloring 2, the same recolored, the same with cell 3 moved onto a
+        # neighbour, and a block of the wrong area
+        t2 = assemble_block2(constants())
+        moved = Tiling([(p.translated((0.05, 0.0)) if k == 3 else p, c)
+                        for k, (p, c) in enumerate(t2.cells)], t2.v1, t2.v2, t2.priority)
+        for t in (t2, sabotaged_coloring_two(), moved, overlapping_tiling()):
+            records += [(d, verdict_records(t, d)) for d in np.linspace(0.35, 0.70, 15).tolist()]
+        elapsed = time.perf_counter() - t0
+        assert hashlib.sha1(repr(records).encode()).hexdigest() == self.PINNED
+        assert elapsed < 5.0
 
 
 class TestColorAt:
