@@ -186,11 +186,10 @@ def polygon_min_distance(p: ConvexPolygon, q: ConvexPolygon) -> float:
     return float(polygon_distances(p.vertices[None], q.vertices[None])[0][0])
 
 
-def convex_intersection_area(p: ConvexPolygon, q: ConvexPolygon) -> float:
-    """Area of the intersection of two convex polygons (Sutherland-Hodgman)."""
-    # Python floats: the same IEEE arithmetic as numpy scalars, done faster
-    poly = p.vertices.tolist()
-    clip = q.vertices.tolist()
+def convex_intersection_area(poly: list, clip: list) -> float:
+    """Area of the intersection of two convex polygons (Sutherland-Hodgman),
+    each a list of (x, y) floats in counterclockwise order: Python floats do
+    the same IEEE arithmetic as numpy scalars, faster."""
     for (cx0, cy0), (cx1, cy1) in zip(clip, clip[1:] + clip[:1]):
         if not poly:
             return 0.0

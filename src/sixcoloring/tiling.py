@@ -18,7 +18,6 @@ from .geom import (
     convex_intersection_area,
     edge_lines,
     line_distances,
-    polygon_distances,
 )
 
 # the colors, highest priority first: a boundary point gets the first incident one
@@ -261,14 +260,10 @@ class Tiling:
 
         The block must have the lattice cell's area, and no two cell
         translates may overlap by more than OVERLAP_AREA_TOL. Cells i <= j are
-        compared at every offset where their bounding boxes meet (see
-        translates_near). Their intersection lies in a slab as wide as their
-        depth from polygon_distances, raised by 10 eps max(|x| + |y|) for
-        rounding (8 eps to first order, as README derives), and spans at
-        most the smaller box diagonal across it. A pair whose area
-        bound is at most OVERLAP_AREA_TOL / 2 cannot overlap: the other half
-        covers the clip's own rounding, for cells of size near 1. Only the
-        other pairs are clipped, in order.
+        clipped at every offset where their bounding boxes meet, in the order
+        of translates_near, and the first overlap raises. Each pair is clipped
+        about cell i's vertex 0, so its rounding is that of cells near the
+        origin wherever the block lies.
         """
         if abs(self.block_area() - self.cell_area()) > EPS_GEOM:
             raise InvalidTilingError(f"block area {self.block_area()} != lattice cell area "
@@ -278,14 +273,12 @@ class Tiling:
         pi, pj = pi[row], pj[row]
         meet = ~((pi == pj) & (pa == 0) & (pb == 0))
         pi, pj, pa, pb = pi[meet], pj[meet], pa[meet], pb[meet]
-        p = self.padded_vertices[pi]
-        q = self.padded_vertices[pj] + (pa[:, None] * self.v1 + pb[:, None] * self.v2)[:, None]
-        size = np.maximum(abs(p).sum(axis=2).max(axis=1), abs(q).sum(axis=2).max(axis=1))
-        depth = np.maximum(polygon_distances(p, q)[2], 0.0) + 10 * np.finfo(float).eps * size
-        clip = depth * np.minimum(self._box_diags[pi], self._box_diags[pj]) > OVERLAP_AREA_TOL / 2
-        for i, j, a, b in zip(*(x[clip].tolist() for x in (pi, pj, pa, pb))):
-            q = self.cells[j][0].translated(a * self.v1 + b * self.v2)
-            if convex_intersection_area(self.cells[i][0], q) > OVERLAP_AREA_TOL:
+        origin = self.padded_vertices[:, 0]
+        off = pa[:, None] * self.v1 + pb[:, None] * self.v2 + (origin[pj] - origin[pi])
+        local = [(p.vertices - p.vertices[0]).tolist() for p, _ in self.cells]
+        for i, j, (dx, dy) in zip(pi.tolist(), pj.tolist(), off.tolist()):
+            moved = [(x + dx, y + dy) for x, y in local[j]]
+            if convex_intersection_area(local[i], moved) > OVERLAP_AREA_TOL:
                 raise InvalidTilingError(f"cells {i} and {j} overlap")
 
     # --- point coloring -------------------------------------------------

@@ -277,6 +277,7 @@ class TestAreaAndIntersection:
                            (UNIT_SQUARE, UNIT_SQUARE.translated((1, 1)), 0.0),
                            (UNIT_SQUARE, UNIT_SQUARE.translated((0.5, 0)), 0.5),
                            (tri, UNIT_SQUARE, 0.25), (UNIT_SQUARE, tri, 0.25)]:
+            p, q = p.vertices.tolist(), q.vertices.tolist()
             assert convex_intersection_area(p, q) == pytest.approx(want, abs=1e-15)
             assert convex_intersection_area(q, p) == pytest.approx(want, abs=1e-15)
 
@@ -290,7 +291,8 @@ class TestAreaAndIntersection:
                              + rng.uniform(-3, 3, 2))
             depth = polygon_distances(p.vertices[None], q.vertices[None])[2][0]
             diam = min(polygon_max_distance(p, p), polygon_max_distance(q, q))
-            assert convex_intersection_area(p, q) <= max(depth, 0.0) * diam + 1e-12
+            area = convex_intersection_area(p.vertices.tolist(), q.vertices.tolist())
+            assert area <= max(depth, 0.0) * diam + 1e-12
             assert (depth < 0) == (brute_force_min_distance(p, q) > 0)
 
     def test_intersection_area_against_shapely(self):
@@ -299,4 +301,5 @@ class TestAreaAndIntersection:
         for _ in range(50):
             p, q = random_convex_polygon(rng), random_convex_polygon(rng)
             want = shapely.Polygon(p.vertices).intersection(shapely.Polygon(q.vertices)).area
-            assert convex_intersection_area(p, q) == pytest.approx(want, abs=1e-9)
+            area = convex_intersection_area(p.vertices.tolist(), q.vertices.tolist())
+            assert area == pytest.approx(want, abs=1e-9)

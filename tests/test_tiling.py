@@ -57,14 +57,23 @@ def brute_force_validate(t, reach=3):
         return "area"
     for i, (p, _) in enumerate(t.cells):
         for j, q in clipped_translates(t, i, reach):
-            if j >= i and convex_intersection_area(p, q) > OVERLAP_AREA_TOL:
+            if j >= i and convex_intersection_area(p.vertices.tolist(),
+                                                   q.vertices.tolist()) > OVERLAP_AREA_TOL:
                 return f"cells {i} and {j} overlap"
     return None
 
 
 def largest_overlap(t, k):
     """The largest clip area of cell k with another cell translate."""
-    return max(convex_intersection_area(t.cells[k][0], q) for _, q in clipped_translates(t, k, 1))
+    p = t.cells[k][0].vertices.tolist()
+    return max(convex_intersection_area(p, q.vertices.tolist())
+               for _, q in clipped_translates(t, k, 1))
+
+
+def bricks(s):
+    """Two rows of unit bricks, the upper shifted by s: cells meet at T-junctions."""
+    return Tiling([(box(0.0, 1.0, 0.0, 0.5), "red"), (box(s, 1.0 + s, 0.5, 1.0), "blue")],
+                  (1.0, 0.0), (0.0, 1.0))
 
 
 def validate_outcome(t):
@@ -92,11 +101,17 @@ class TestValidate:
         # moving one cell keeps the block area but makes it overlap a neighbour
         moved = [moved_cell(t, k, shift) for t in (c1[4], t2)
                  for k in (0, 3) for shift in ((0.05, 0.0), (0.0, -0.2))]
+        # both colorings are edge-to-edge; in the bricks cells meet along part
+        # of an edge, and moving brick 0 makes it overlap brick 1
+        brick = [bricks(s) for s in (0.5, 1 / 3)]
+        brick += [moved_cell(t, 0, shift) for t in brick[:2]
+                  for shift in ((0.0, 1e-9), (0.01, 0.01))]
+        assert [validate_outcome(t) for t in brick] == [None] * 2 + ["cells 0 and 1 overlap"] * 4
         # every cell of both colorings moved in three directions, from 1e-9
         # to 1e-3 and so that its largest overlap is 0.6 and 1.6 times
-        # OVERLAP_AREA_TOL: on both sides of the screen's and the clip's
-        # thresholds. For shifts this small the overlap grows linearly. In
-        # the thin strips an overlap nearly fills the screen's area bound.
+        # OVERLAP_AREA_TOL, on both sides of the clip's threshold. For shifts
+        # this small the overlap grows linearly. In the thin strips an
+        # overlap spans nearly the whole cell.
         strips = Tiling([(box(0.0, 1.0, 0.0, 0.01), "red"), (box(0.0, 1.0, 0.01, 0.02), "blue")],
                         (1.0, 0.0), (0.0, 0.02))
         near = []
@@ -110,7 +125,7 @@ class TestValidate:
                              for f in (0.6, 1.6)]
         for t, k, f in near:
             assert largest_overlap(t, k) / OVERLAP_AREA_TOL == pytest.approx(f, rel=0.1)
-        cases = c1 + [t2, far_overlap_tiling()] + moved + [t for t, _, _ in near]
+        cases = c1 + [t2, far_overlap_tiling()] + brick + moved + [t for t, _, _ in near]
         outcomes = [brute_force_validate(t) for t in cases]
         assert None in outcomes and any(o and "overlap" in o for o in outcomes)
         assert [validate_outcome(t) for t in cases] == outcomes
@@ -118,20 +133,21 @@ class TestValidate:
         assert time.perf_counter() - start < 10
 
     @pytest.mark.parametrize("which", ["coloring 1", "coloring 2"])
-    def test_valid_colorings_clip_nothing(self, which, monkeypatch):
-        # the screen rules out every pair of a valid coloring, so validate
-        # makes no clip: a count, not a time
-        t = (assemble_block(Params1(0.45, default_alpha1(0.45))) if which == "coloring 1"
-             else assemble_block2(constants()))
-        calls = []
+    def test_valid_colorings_clip_every_pair(self, which, monkeypatch):
+        # validate clips each pair whose boxes meet, once; on a valid
+        # coloring each clip is rounding alone: a count, not a time
+        t, pairs = ((assemble_block(Params1(0.45, default_alpha1(0.45))), 27)
+                    if which == "coloring 1" else (assemble_block2(constants()), 26))
+        areas = []
 
         def counted(p, q):
-            calls.append((p, q))
-            return convex_intersection_area(p, q)
+            areas.append(convex_intersection_area(p, q))
+            return areas[-1]
 
         monkeypatch.setattr(tiling, "convex_intersection_area", counted)
         t.validate()
-        assert calls == []
+        assert len(areas) == pairs
+        assert max(areas) <= 1e-15
 
 
 class TestLatticeOffsets:

@@ -304,14 +304,24 @@ class TestColorings:
         assert keys == sorted(keys)
 
     def test_translation_invariance(self):
-        d = 0.45
-        t = assemble_block(Params1(d, default_alpha1(d)))
-        shift = np.array([0.123, -0.456])
-        moved = Tiling([(p.translated(shift), c) for p, c in t.cells], t.v1, t.v2, t.priority)
-        r0 = verify(t, ColoringType.unit_except(red=d))
-        r1 = verify(moved, ColoringType.unit_except(red=d))
-        assert r0.valid == r1.valid
-        assert r0.pairs_checked == r1.pairs_checked
+        # far from the origin validate still clips each pair about a vertex
+        # of its own, so coloring 2 stays valid with its 19 pairs
+        t2, far = assemble_block2(constants()), ((1000.0, 1000.0), (-317.25, 2048.5))
+        cases = [(assemble_block(Params1(0.45, default_alpha1(0.45))), 0.45, (0.123, -0.456))]
+        cases += [(t2, 0.5, shift) for shift in far]
+        for t, d, shift in cases:
+            moved = Tiling([(p.translated(shift), c) for p, c in t.cells], t.v1, t.v2, t.priority)
+            r0 = verify(t, ColoringType.unit_except(red=d))
+            r1 = verify(moved, ColoringType.unit_except(red=d))
+            assert r0.valid == r1.valid
+            assert r0.pairs_checked == r1.pairs_checked
+        assert r1.valid and r1.pairs_checked == 19
+        # and with cell 3 moved onto cell 0 it still overlaps
+        for shift in far:
+            moved = Tiling([(p.translated(np.add(shift, (0.05, 0.0)) if k == 3 else shift), c)
+                            for k, (p, c) in enumerate(t2.cells)], t2.v1, t2.v2, t2.priority)
+            with pytest.raises(InvalidTilingError, match="cells 0 and 3 overlap"):
+                moved.validate()
 
     def test_enumeration_radius_invariance(self):
         # verify enumerates offsets with |a|, |b| <= 1 here; its verdict must
