@@ -1,4 +1,4 @@
-"""Planar geometry kernel: convex polygons, translation, distance queries.
+"""Planar geometry kernel: convex polygons, edge lines, distance queries, clipping.
 
 All angles are in degrees; conversion to radians happens inside the
 trigonometric helpers.  Coordinates are doubles; EPS_GEOM is the global
@@ -42,7 +42,9 @@ def _succ(a: np.ndarray, axis: int) -> np.ndarray:
 
 def _areas(v: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Shoelace areas of the padded polygons v (k, m, 2) with counts[r] vertices,
-    each summed over its own terms alone: the bits of np.sum unpadded."""
+    each summed over its own terms alone (the bits of np.sum unpadded) and
+    about its own vertex 0, so it rounds as at the origin wherever it lies."""
+    v = v - v[:, :1]
     w = _succ(v, 1)
     terms = v[..., 0] * w[..., 1] - w[..., 0] * v[..., 1]
     return 0.5 * np.array([t[:n].sum() for t, n in zip(terms, counts.tolist())])
@@ -67,11 +69,6 @@ class ConvexPolygon:
         v.setflags(write=False)
         return p
 
-    def translated(self, offset) -> "ConvexPolygon":
-        """This polygon moved by `offset`, unchecked: a translation keeps
-        orientation and convexity."""
-        return ConvexPolygon._of(self.vertices + np.asarray(offset, dtype=float))
-
     def __reduce__(self):
         return ConvexPolygon._of, (np.array(self.vertices),)
 
@@ -79,9 +76,9 @@ class ConvexPolygon:
 def convex_cells(polys) -> tuple:
     """Check vertex arrays as convex polygons, all at once, in one padded table.
 
-    Returns (polygons, vertices, counts, areas): a ConvexPolygon per array,
-    and their counterclockwise vertices, padded by repeating vertex 0 as
-    polygon_distances takes them, with their counts and areas. Each array
+    Returns (polygons, vertices, areas): a ConvexPolygon per array, and their
+    counterclockwise vertices, padded by repeating vertex 0 as
+    polygon_distances takes them, and their areas. Each array
     needs at least 3 planar vertices, all finite; clockwise ones are reversed;
     no edge may be shorter than EPS_GEOM, nor a corner turn right by more.
     The padding adds only zero-length edges, masked out. DomainError names
@@ -112,24 +109,23 @@ def convex_cells(polys) -> tuple:
     if failed.any():
         raise DomainError(CELL_CHECKS[failed[failed.any(1).argmax()].argmax()])
     v.setflags(write=False)
-    return [ConvexPolygon._of(v[r, :n]) for r, n in enumerate(counts.tolist())], v, counts, areas
+    return [ConvexPolygon._of(v[r, :n]) for r, n in enumerate(counts.tolist())], v, areas
 
 
 def polygon_distances(p, q):
     """Minimum and maximum distances between the closed regions p[k] and q[k]
-    for every k at once, and their depth; the minimum is 0 where they meet.
+    for every k at once; the minimum is 0 where they meet.
 
     p (k, m, 2) and q (k, m', 2), or arrays broadcasting to those, hold convex
     polygons counterclockwise, padded by repeating vertex 0. That adds only
     zero-length edges (edge e runs from vertex e to e + 1), which a
     ConvexPolygon never has; masked out, they leave every result unchanged.
 
-    The depth is the least, over the edges of both, of the largest signed
-    distance (line_distances) of the other's vertices from the edge's line.
-    They meet iff it is at least 0, as the separating-axis theorem gives: 0
+    They meet iff their depth is at least 0: the least, over the edges of
+    both, of the largest signed distance (line_distances) of the other's
+    vertices from the edge's line. The separating-axis theorem gives this: 0
     lies outside p - q iff one of its edges leaves 0 strictly outside, and
-    each is an edge of p or of -q. Where they meet, their intersection lies
-    in a slab that wide along that edge.
+    each is an edge of p or of -q.
     """
     # coordinates first: numpy reduces a leading axis of length 2 far faster
     # than a trailing one; axis 2 runs over p's vertices or edges, 3 over q's
@@ -151,7 +147,7 @@ def polygon_distances(p, q):
         depth = np.minimum(depth, np.where(real, inner, np.inf).max(axis=axis).min(axis=1))
     # where they are apart a vertex and an edge of the other realize the minimum
     return (np.where(depth >= 0, 0.0, np.minimum(*near).min(axis=(1, 2))),
-            np.sqrt((ab ** 2).sum(axis=0)).max(axis=(1, 2)), depth)
+            np.sqrt((ab ** 2).sum(axis=0)).max(axis=(1, 2)))
 
 
 def polygon_max_distance(p: ConvexPolygon, q: ConvexPolygon) -> float:

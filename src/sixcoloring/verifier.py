@@ -28,6 +28,9 @@ __all__ = ["BINDING_TOL", "VIOLATION_TOL", "VerificationReport", "Witness", "cri
 VIOLATION_TOL = 1e-9
 BINDING_TOL = 1e-6
 
+# monte_carlo_check runs at most LOCATE_THREADS blocks at once
+LOCATE_THREADS = 2
+
 
 @dataclass(frozen=True)
 class Witness:
@@ -80,7 +83,7 @@ def _pair_table(t: Tiling, ct: ColoringType) -> tuple:
     i, j, a, b = i[keep], j[keep], a[keep], b[keep]
     off = a[:, None] * t.v1 + b[:, None] * t.v2
     # a cell meets itself at its vertex 0, so its minimum is exactly 0
-    mn, mx, _ = polygon_distances(t.padded_vertices[i], t.padded_vertices[j] + off[:, None])
+    mn, mx = polygon_distances(t.padded_vertices[i], t.padded_vertices[j] + off[:, None])
     return colors[i], i, j, a, b, dist[i], mn, mx
 
 
@@ -135,8 +138,7 @@ def _check_int(name: str, value, lo, hi, what: str) -> None:
 
 def _worker_count(blocks: int) -> int:
     """Threads for `blocks` independent blocks: one per CPU this process may
-    run on, at most one per block and at most tiling.LOCATE_THREADS."""
-    from .tiling import LOCATE_THREADS  # read per call, so it can be patched
+    run on, at most one per block and at most LOCATE_THREADS."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # sched_getaffinity is not on every platform
@@ -150,7 +152,7 @@ def monte_carlo_check(t: Tiling, ct: ColoringType, n: int, seed: int) -> int:
     Draws n uniform points in one lattice cell and, per point, one uniform
     direction; the second endpoint lies at the first point's avoided
     distance. Philox keyed by seed gives the stream of random((n, 2)) then
-    random(n); block [s, s + k) of k = tiling.LOCATE_CHUNK points reads
+    random(n); block [s, s + k) of k = locate.LOCATE_CHUNK points reads
     doubles [2s, 2s + 2k) and [2n + s, 2n + s + k), so memory does not grow
     with n.
 
@@ -162,7 +164,7 @@ def monte_carlo_check(t: Tiling, ct: ColoringType, n: int, seed: int) -> int:
     further thread adds a malloc arena to the peak memory. Once a block
     raises, or this thread is interrupted, no thread starts another block.
     """
-    from .tiling import LOCATE_CHUNK  # read per call, so it can be patched
+    from .locate import LOCATE_CHUNK  # read per call, so it can be patched
     _check_int("n", n, 1, math.inf, ">= 1")
     _check_int("seed", seed, 0, 2 ** 128, "in [0, 2**128)")  # a Philox key
     n, seed = int(n), int(seed)  # Philox.advance overflows on numpy integers

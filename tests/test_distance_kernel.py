@@ -49,12 +49,12 @@ def place(p, q, how, shift):
     if how == "contained":  # p shrunk by half about its vertex mean
         return ConvexPolygon((v + v.mean(axis=0)) / 2)
     if how == "overlapping":
-        return q.translated(v.mean(axis=0) - w.mean(axis=0) + shift / 4)
+        return ConvexPolygon(w + (v.mean(axis=0) - w.mean(axis=0) + shift / 4))
     if how == "touching":  # q's leftmost vertex on p's rightmost one
-        return q.translated(v[np.argmax(v[:, 0])] - w[np.argmin(w[:, 0])])
+        return ConvexPolygon(w + (v[np.argmax(v[:, 0])] - w[np.argmin(w[:, 0])]))
     if how == "apart":
-        return q.translated(v.max(axis=0) - w.min(axis=0) + np.abs(shift) + 0.25)
-    return q.translated(shift)
+        return ConvexPolygon(w + (v.max(axis=0) - w.min(axis=0) + np.abs(shift) + 0.25))
+    return ConvexPolygon(w + shift)
 
 
 def exact_intersect(p, q):
@@ -109,20 +109,17 @@ def test_kernel_matches_references(cases):
         assume(p is not None and q is not None)
         q = place(p, q, how, np.array(shift))
         pairs.append((q, p) if swap else (p, q))
-    mn, mx, depth = polygon_distances(padded([p for p, _ in pairs]),
-                                      padded([q for _, q in pairs]))
-    for (p, q), lo, hi, deep in zip(pairs, mn, mx, depth):
+    mn, mx = polygon_distances(padded([p for p, _ in pairs]), padded([q for _, q in pairs]))
+    for (p, q), lo, hi in zip(pairs, mn, mx):
         # padding moves no bit: the batch gives each pair's own k = 1 answer
         assert lo == polygon_min_distance(p, q)
         assert hi == polygon_max_distance(p, q)
-        # the depth takes the same signed distances either way round
-        assert deep == polygon_distances(q.vertices[None], p.vertices[None])[2][0]
+        # the minimum is the same bits either way round
+        assert lo == polygon_distances(q.vertices[None], p.vertices[None])[0][0]
         # the cross products of quarter units are exact, and the division
         # by the edge length keeps their sign
-        assert (deep >= 0) == exact_intersect(p, q)
-        if exact_intersect(p, q):
-            assert lo == 0.0
-        else:
+        assert (lo == 0.0) == exact_intersect(p, q)
+        if not exact_intersect(p, q):
             assert lo == pytest.approx(plain_min_distance(p, q), rel=1e-12, abs=1e-12)
         assert hi == pytest.approx(plain_max_distance(p, q), rel=1e-12)
 
@@ -132,7 +129,7 @@ def test_proper_crossing_without_contained_vertex():
     bar = ConvexPolygon(np.array([[-2, -0.25], [2, -0.25], [2, 0.25], [-2, 0.25]]))
     upright = ConvexPolygon(bar.vertices[:, ::-1])
     assert exact_intersect(bar, upright)
-    mn, mx, _ = polygon_distances(padded([bar, upright]), padded([upright, bar]))
+    mn, mx = polygon_distances(padded([bar, upright]), padded([upright, bar]))
     assert mn.tolist() == [0.0, 0.0]
     assert mx == pytest.approx([math.hypot(2.25, 2.25)] * 2, rel=1e-15)
 
@@ -142,6 +139,5 @@ def test_cells_meet_themselves():
     # verifier's pair table takes a cell's minimum with itself as exactly 0
     tilings = [assemble_block(Params1(d, default_alpha1(d))) for d in (D_LOW, 0.45, D_HIGH)]
     for t in tilings + [assemble_block2(constants())]:
-        mn, _, depth = polygon_distances(t.padded_vertices, t.padded_vertices)
-        assert (depth >= 0).all()
+        mn, _ = polygon_distances(t.padded_vertices, t.padded_vertices)
         assert mn.tolist() == [0.0] * len(t.cells)

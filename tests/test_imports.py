@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -99,18 +100,51 @@ def test_detects_orphans():
     assert orphans(source, refs) == ["B", "C", "D"]
 
 
+def run_python(code: str, cwd=None):
+    """What a fresh interpreter running code over the package prints, read as a literal."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True,
+                          text=True, timeout=60, check=True)
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
 def test_import_loads_no_heavy_package():
     # set-up time is the import plus constants(); these test-only packages
     # would each add to it
-    src = str(PACKAGE.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import sys, sixcoloring, sixcoloring.cli\n"
-            "print(sorted({m.split('.')[0] for m in sys.modules}))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    loaded = set(ast.literal_eval(proc.stdout))
+    loaded = set(run_python("import sys, sixcoloring, sixcoloring.cli\n"
+                            "print(sorted({m.split('.')[0] for m in sys.modules}))"))
     assert "sixcoloring" in loaded and "numpy" in loaded
     assert loaded & {"scipy", "sympy", "mpmath", "hypothesis", "shapely"} == set()
     # monte_carlo_check imports its thread pool when it runs one
     assert "concurrent" not in loaded
+
+
+def test_locator_loads_on_first_use(tmp_path):
+    # validate and verify locate no point, nor do the CLI's verify, scan and
+    # render, so none of them loads the point locator; color_at_many does
+    code = textwrap.dedent("""
+        import sys, sixcoloring, sixcoloring.cli
+        from sixcoloring.coloring_one import Params1, assemble_block, default_alpha1
+        from sixcoloring.coloring_two import assemble_block2, constants
+        from sixcoloring.tiling import ColoringType
+        from sixcoloring.verifier import verify
+        seen = ["sixcoloring.locate" in sys.modules]
+        tilings = [(assemble_block(Params1(0.45, default_alpha1(0.45))), 0.45),
+                   (assemble_block2(constants()), 0.5)]
+        for t, d in tilings:
+            t.validate()
+            verify(t, ColoringType.unit_except(red=d))
+        seen.append("sixcoloring.locate" in sys.modules)
+        codes = [sixcoloring.cli.main(argv) for argv in (
+                     ["verify", "--coloring", "2", "--d", "0.5"],
+                     ["scan", "--d-min", "0.45", "--d-max", "0.46", "--d-step", "0.01",
+                      "--alpha-step", "5", "--out", "scan.csv"],
+                     ["render", "--coloring", "1", "--d", "0.45", "--viewport=-1,-1,1,1",
+                      "--out", "out.svg"])]
+        seen.append("sixcoloring.locate" in sys.modules)
+        tilings[0][0].color_at_many([(0.0, 0.0)])
+        seen.append("sixcoloring.locate" in sys.modules)
+        print((seen, codes))
+    """)
+    assert run_python(code, cwd=tmp_path) == ([False, False, False, True], [0, 0, 0])

@@ -29,7 +29,7 @@ def far_overlap_tiling():
 
 def moved_cell(t, k, shift):
     """t with cell k translated by `shift`: same block area, overlapping cells."""
-    cells = [(p.translated(shift) if i == k else p, c) for i, (p, c) in enumerate(t.cells)]
+    cells = [(p.vertices + shift if i == k else p, c) for i, (p, c) in enumerate(t.cells)]
     return Tiling(cells, t.v1, t.v2, t.priority)
 
 
@@ -46,7 +46,7 @@ def clipped_translates(t, i, reach):
                 & (p.min(axis=0) <= q.vertices.max(axis=0) + off).all(axis=1))
         for (a, b), o in zip(ab[near].tolist(), off[near]):
             if (j, a, b) != (i, 0, 0):
-                yield j, q.translated(o)
+                yield j, ConvexPolygon._of(q.vertices + o)  # a translate needs no check
 
 
 def brute_force_validate(t, reach=3):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from sixcoloring.coloring_one import Params1, assemble_block, default_alpha1
-from sixcoloring import tiling, verifier
+from sixcoloring import locate, verifier
 from sixcoloring.coloring_two import assemble_block2, constants
 from sixcoloring.errors import InvalidTilingError, RangeError
 from sixcoloring.geom import (
@@ -60,7 +60,7 @@ def brute_force_color_at_many(t, pts, reach=2):
         r = t.priority.index(color)
         for a in range(-reach, reach + 1):
             for b in range(-reach, reach + 1):
-                q = poly.translated(a * t.v1 + b * t.v2)
+                q = ConvexPolygon(poly.vertices + (a * t.v1 + b * t.v2))
                 if polygon_min_distance(q, base_cell) > EPS_GEOM:
                     continue
                 v = q.vertices
@@ -112,7 +112,7 @@ def nudged(pts):
 def bucket_probes(t):
     """Every corner and edge midpoint of the point locator's buckets in the
     base lattice parallelogram, each nudged by 0 or +-EPS_GEOM / 2 per axis."""
-    g = tiling.LOCATE_GRID
+    g = locate.LOCATE_GRID
     k = np.arange(2 * g + 1)
     i, j = (x.ravel() for x in np.meshgrid(k, k, indexing="ij"))
     keep = (i % 2 == 0) | (j % 2 == 0)  # leave out the bucket centres
@@ -124,8 +124,8 @@ def bucket_ranks(t):
     """Per bucket of the point locator's g x g grid, (g, g): the rank its
     s x s cells of the rank table hold if they hold one rank below
     len(priority), else len(priority)."""
-    g, s, nc = tiling.LOCATE_GRID, tiling.LOCATE_REFINE, len(t.priority)
-    cells = t._build_locator().cell_rank.reshape(g, s, g, s)
+    g, s, nc = locate.LOCATE_GRID, locate.LOCATE_REFINE, len(t.priority)
+    cells = locate.build(t).cell_rank.reshape(g, s, g, s)
     lo, hi = cells.min(axis=(1, 3)), cells.max(axis=(1, 3))
     return np.where((lo == hi) & (hi < nc), hi, nc)
 
@@ -134,7 +134,7 @@ def sub_bucket_probes(t, mixed=None):
     """Every corner and edge midpoint of the sub-buckets of the unresolved
     buckets `mixed`, by default 24 spread evenly over them in index order,
     each nudged by 0 or +-EPS_GEOM / 2 per axis."""
-    g, s = tiling.LOCATE_GRID, tiling.LOCATE_REFINE
+    g, s = locate.LOCATE_GRID, locate.LOCATE_REFINE
     if mixed is None:
         mixed = np.flatnonzero(bucket_ranks(t) == len(t.priority))
         mixed = mixed[np.unique(np.linspace(0, len(mixed) - 1, 24).astype(int))]
@@ -188,7 +188,8 @@ def scalar_intervals(t, ct, reach=4):
                 for b in range(-reach, reach + 1):
                     if i == j and (a, b) < (0, 0):
                         continue  # offsets of a cell to itself come in +- pairs
-                    q = t.cells[j][0].translated(a * t.v1 + b * t.v2)
+                    # unchecked, as a translate of a checked cell needs no check
+                    q = ConvexPolygon._of(t.cells[j][0].vertices + (a * t.v1 + b * t.v2))
                     gap = np.maximum(0.0, np.maximum(q.vertices.min(axis=0) - hi,
                                                      lo - q.vertices.max(axis=0)))
                     if np.hypot(*gap) > d + BINDING_TOL:
@@ -305,12 +306,14 @@ class TestColorings:
 
     def test_translation_invariance(self):
         # far from the origin validate still clips each pair about a vertex
-        # of its own, so coloring 2 stays valid with its 19 pairs
-        t2, far = assemble_block2(constants()), ((1000.0, 1000.0), (-317.25, 2048.5))
-        cases = [(assemble_block(Params1(0.45, default_alpha1(0.45))), 0.45, (0.123, -0.456))]
+        # of its own, and sums each cell's area about a vertex of its own, so
+        # both colorings stay valid, coloring 2 with its 19 pairs
+        t2, far = assemble_block2(constants()), ((1000.0, 1000.0), (-317.25, 2048.5), (1e4, 1e4))
+        t1 = assemble_block(Params1(0.45, default_alpha1(0.45)))
+        cases = [(t1, 0.45, shift) for shift in ((0.123, -0.456), (1e4, 1e4))]
         cases += [(t2, 0.5, shift) for shift in far]
         for t, d, shift in cases:
-            moved = Tiling([(p.translated(shift), c) for p, c in t.cells], t.v1, t.v2, t.priority)
+            moved = Tiling([(p.vertices + shift, c) for p, c in t.cells], t.v1, t.v2, t.priority)
             r0 = verify(t, ColoringType.unit_except(red=d))
             r1 = verify(moved, ColoringType.unit_except(red=d))
             assert r0.valid == r1.valid
@@ -318,7 +321,7 @@ class TestColorings:
         assert r1.valid and r1.pairs_checked == 19
         # and with cell 3 moved onto cell 0 it still overlaps
         for shift in far:
-            moved = Tiling([(p.translated(np.add(shift, (0.05, 0.0)) if k == 3 else shift), c)
+            moved = Tiling([(p.vertices + (np.add(shift, (0.05, 0.0)) if k == 3 else shift), c)
                             for k, (p, c) in enumerate(t2.cells)], t2.v1, t2.v2, t2.priority)
             with pytest.raises(InvalidTilingError, match="cells 0 and 3 overlap"):
                 moved.validate()
@@ -340,7 +343,8 @@ class TestColorings:
                         continue
                     for a in range(-4, 5):
                         for b in range(-4, 5):
-                            q = t.cells[j][0].translated(a * t.v1 + b * t.v2)
+                            # unchecked, as a translate of a checked cell needs no check
+                            q = ConvexPolygon._of(t.cells[j][0].vertices + (a * t.v1 + b * t.v2))
                             mn = 0.0 if i == j and a == b == 0 else polygon_min_distance(p, q)
                             mx = polygon_max_distance(p, q)
                             valid &= not (dd - mn > VIOLATION_TOL and mx - dd > VIOLATION_TOL)
@@ -445,7 +449,7 @@ class TestPinnedVerdicts:
         # coloring 2, the same recolored, the same with cell 3 moved onto a
         # neighbour, and a block of the wrong area
         t2 = assemble_block2(constants())
-        moved = Tiling([(p.translated((0.05, 0.0)) if k == 3 else p, c)
+        moved = Tiling([(p.vertices + (0.05, 0.0) if k == 3 else p, c)
                         for k, (p, c) in enumerate(t2.cells)], t2.v1, t2.v2, t2.priority)
         for t in (t2, sabotaged_coloring_two(), moved, overlapping_tiling()):
             records += [(d, verdict_records(t, d)) for d in np.linspace(0.35, 0.70, 15).tolist()]
@@ -512,7 +516,7 @@ class TestColorAt:
         # they lie
         t = assemble_block2(constants())
         cells = list(t.cells)
-        cells[0] = (cells[0][0].translated(k * (t.v1 + t.v2)), cells[0][1])
+        cells[0] = (cells[0][0].vertices + k * (t.v1 + t.v2), cells[0][1])
         moved = Tiling(cells, t.v1, t.v2, t.priority)
         moved.validate()
         for d in (0.55, 0.3):
@@ -542,7 +546,7 @@ class TestColorAt:
         # spare, and its rank is no less than the bucket's; otherwise the
         # probe's row of the table has a slot of its rank and its edges
         t = locator_case(which)
-        loc = t._build_locator()
+        loc = locate.build(t)
         g, nc = loc.grid, len(t.priority)
         pts = np.concatenate([bucket_probes(t), sub_bucket_probes(t)])
         # the probe's cell of the rank table and base point as rank_at_many finds them
@@ -557,7 +561,7 @@ class TestColorAt:
             r = t.priority.index(color)
             for a in range(-2, 3):
                 for b in range(-2, 3):
-                    q = poly.translated(a * t.v1 + b * t.v2)
+                    q = ConvexPolygon(poly.vertices + (a * t.v1 + b * t.v2))
                     if polygon_min_distance(q, base_cell) > EPS_GEOM:
                         continue
                     edges = edge_lines(q.vertices)
@@ -582,8 +586,8 @@ class TestColorAt:
         want_ranks, want_interior = t.rank_at_many(pts)
         for g in (1, 7, 16, 64):
             for s in (1, 2, 8):  # 1: no sub-buckets
-                monkeypatch.setattr(tiling, "LOCATE_GRID", g)
-                monkeypatch.setattr(tiling, "LOCATE_REFINE", s)
+                monkeypatch.setattr(locate, "LOCATE_GRID", g)
+                monkeypatch.setattr(locate, "LOCATE_REFINE", s)
                 ranks, interior = Tiling(t.cells, t.v1, t.v2, t.priority).rank_at_many(pts)
                 assert (ranks == want_ranks).all()
                 assert (interior == want_interior).all()
@@ -600,13 +604,13 @@ class TestColorAt:
         # ending at grid line 40: the per-point test calls those corners
         # interior to the left cell, but a bucket is resolved only with
         # EPS_GEOM to spare, so the column is left to the per-point test
-        g, s = tiling.LOCATE_GRID, tiling.LOCATE_REFINE
+        g, s = locate.LOCATE_GRID, locate.LOCATE_REFINE
         rot = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
         x = 40 / g + 1.5 * EPS_GEOM
         left = ConvexPolygon(np.array([[0, 0], [x, 0], [x, 1], [0, 1]]) @ rot.T)
         right = ConvexPolygon(np.array([[x, 0], [1, 0], [1, 1], [x, 1]]) @ rot.T)
         t = Tiling([(left, "orange"), (right, "red")], rot[:, 0], rot[:, 1])
-        cells = t._build_locator().cell_rank.reshape(g, s, g, s)
+        cells = locate.build(t).cell_rank.reshape(g, s, g, s)
         assert (cells[38, :, 1:-1] == t.priority.index("orange")).all()
         assert (bucket_ranks(t)[39] == len(t.priority)).all()
         pts = bucket_probes(t)
@@ -619,13 +623,13 @@ class TestColorAt:
         # as above one level down: the shared edge lies 1.5 EPS_GEOM right of
         # sub-grid line 4 inside bucket column 40, so sub-columns 3 and 4 are
         # left to the per-point test and the others resolve
-        g, s = tiling.LOCATE_GRID, tiling.LOCATE_REFINE
+        g, s = locate.LOCATE_GRID, locate.LOCATE_REFINE
         rot = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
         x = (40 + 4 / s) / g + 1.5 * EPS_GEOM
         left = ConvexPolygon(np.array([[0, 0], [x, 0], [x, 1], [0, 1]]) @ rot.T)
         right = ConvexPolygon(np.array([[x, 0], [1, 0], [1, 1], [x, 1]]) @ rot.T)
         t = Tiling([(left, "orange"), (right, "red")], rot[:, 0], rot[:, 1])
-        cells = t._build_locator().cell_rank.reshape(g, s, g, s)
+        cells = locate.build(t).cell_rank.reshape(g, s, g, s)
         nc = len(t.priority)
         assert (cells[39, :, 1:-1] == t.priority.index("orange")).all()
         assert (bucket_ranks(t)[40] == nc).all()
@@ -642,7 +646,7 @@ class TestColorAt:
     @pytest.mark.parametrize("which", ["coloring 1", "coloring 2"])
     def test_few_points_left_to_the_table(self, which):
         # the crossing-line test's share of the parallelogram: about 1.5%
-        loc = locator_case(which)._build_locator()
+        loc = locate.build(locator_case(which))
         assert len(loc.table) / loc.grid ** 2 <= 0.025
 
     @pytest.mark.parametrize("which", ["coloring 1", "coloring 2", "overlapping cells"])
@@ -651,7 +655,7 @@ class TestColorAt:
         # nudged vertices keep the brute-force answer; just beyond it, the
         # locator refuses them
         t = locator_case(which)
-        reach = t._build_locator().reach
+        reach = locate.build(t).reach
         pts = vertex_probes(t)
         for k in (int(reach) - 2, -int(reach) + 2):
             far = pts + k * (t.v1 + t.v2)
@@ -731,9 +735,9 @@ class TestMonteCarlo:
         t = assemble_block2(constants())
         ct = ColoringType.unit_except(red=0.3)
         n = 5_000
-        monkeypatch.setattr(tiling, "LOCATE_CHUNK", 37)
+        monkeypatch.setattr(locate, "LOCATE_CHUNK", 37)
         small = monte_carlo_check(t, ct, n, seed=11)
-        monkeypatch.setattr(tiling, "LOCATE_CHUNK", 10 * n)
+        monkeypatch.setattr(locate, "LOCATE_CHUNK", 10 * n)
         large = monte_carlo_check(t, ct, n, seed=11)
         assert small == large > 0
 
@@ -756,11 +760,11 @@ class TestMonteCarlo:
         # bench/tracing.py counts located points by wrapping this attribute
         # and taking len() of the points argument
         calls = []
-        locate = Tiling.rank_at_many
+        rank_at_many = Tiling.rank_at_many
 
         def spy(self, pts):
             calls.append(len(pts))
-            return locate(self, pts)
+            return rank_at_many(self, pts)
 
         monkeypatch.setattr(Tiling, "rank_at_many", spy)
         t, ct = assemble_block2(constants()), ColoringType.unit_except(red=0.55)
@@ -769,7 +773,7 @@ class TestMonteCarlo:
         # across blocks each call gets at most one block, and together they
         # get both endpoints of every point, so the tracer still reads 2n
         calls.clear()
-        monkeypatch.setattr(tiling, "LOCATE_CHUNK", 1_000)
+        monkeypatch.setattr(locate, "LOCATE_CHUNK", 1_000)
         monte_carlo_check(t, ct, 3_000, seed=1)
         assert max(calls) <= 1_000 and sum(calls) == 6_000
 
@@ -787,7 +791,7 @@ class TestMonteCarlo:
         else:
             t, ct = assemble_block2(constants()), ColoringType.unit_except(red=0.3)
         want = one_pass_monte_carlo(t, ct, n, seed)
-        monkeypatch.setattr(tiling, "LOCATE_CHUNK", block)
+        monkeypatch.setattr(locate, "LOCATE_CHUNK", block)
         assert monte_carlo_check(t, ct, n, seed=seed) == want > 0
 
     @pytest.mark.parametrize("which", ["sabotaged", "red 0.3"])
@@ -797,8 +801,8 @@ class TestMonteCarlo:
             t, ct = sabotaged_coloring_two(), ColoringType.unit_except(red=0.55)
         else:
             t, ct = assemble_block2(constants()), ColoringType.unit_except(red=0.3)
-        monkeypatch.setattr(tiling, "LOCATE_GRID", 1)
-        monkeypatch.setattr(tiling, "LOCATE_REFINE", 1)
+        monkeypatch.setattr(locate, "LOCATE_GRID", 1)
+        monkeypatch.setattr(locate, "LOCATE_REFINE", 1)
         fresh = Tiling(t.cells, t.v1, t.v2, t.priority)
         assert monte_carlo_check(fresh, ct, 20_000, seed=6) == one_pass_monte_carlo(
             t, ct, 20_000, 6) > 0
@@ -816,20 +820,20 @@ class TestMonteCarlo:
         seed = 5
         want = one_pass_monte_carlo(t, ct, n, seed)
         builds, threads = [], set()
-        build, locate = Tiling._build_locator, Tiling.rank_at_many
+        build, rank_at_many = locate.build, Tiling.rank_at_many
 
-        def build_spy(self):
+        def build_spy(t):
             builds.append(threading.get_ident())
-            return build(self)
+            return build(t)
 
         def locate_spy(self, pts):
             threads.add(threading.get_ident())
-            return locate(self, pts)
+            return rank_at_many(self, pts)
 
-        monkeypatch.setattr(Tiling, "_build_locator", build_spy)
+        monkeypatch.setattr(locate, "build", build_spy)
         monkeypatch.setattr(Tiling, "rank_at_many", locate_spy)
         monkeypatch.setattr(verifier, "_worker_count", lambda blocks: 3)
-        monkeypatch.setattr(tiling, "LOCATE_CHUNK", block)
+        monkeypatch.setattr(locate, "LOCATE_CHUNK", block)
         fresh = Tiling(t.cells, t.v1, t.v2, t.priority)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads often, so that a race would show
@@ -850,17 +854,17 @@ class TestMonteCarlo:
         hole = int(np.argmin(t._areas))
         holed = Tiling(t.cells[:hole] + t.cells[hole + 1:], t.v1, t.v2, t.priority)
         ct = ColoringType.unit_except(red=0.55)
-        raised_in, locate = [], Tiling.rank_at_many
+        raised_in, rank_at_many = [], Tiling.rank_at_many
 
         def spy(self, pts):
             try:
-                return locate(self, pts)
+                return rank_at_many(self, pts)
             except InvalidTilingError:
                 raised_in.append(threading.get_ident())
                 raise
 
         monkeypatch.setattr(Tiling, "rank_at_many", spy)
-        monkeypatch.setattr(tiling, "LOCATE_CHUNK", 10)
+        monkeypatch.setattr(locate, "LOCATE_CHUNK", 10)
         errors = []
         for workers in (1, 3):
             monkeypatch.setattr(verifier, "_worker_count", lambda blocks, w=workers: w)
@@ -888,7 +892,7 @@ class TestMonteCarlo:
                 super().__init__()
                 stops.append(self)
 
-        caller, locate = threading.get_ident(), Tiling.rank_at_many
+        caller, rank_at_many = threading.get_ident(), Tiling.rank_at_many
         stops, raised, unstopped = [], [], []
         calls, late = collections.Counter(), collections.Counter()
 
@@ -902,11 +906,11 @@ class TestMonteCarlo:
             if not raised and (me != caller if raiser == "pool" else me == caller and calls[me] == 3):
                 raised.append(me)
                 raise Raised
-            return locate(self, pts)
+            return rank_at_many(self, pts)
 
         monkeypatch.setattr(verifier, "Event", Stop)
         monkeypatch.setattr(verifier, "_worker_count", lambda blocks: 3)
-        monkeypatch.setattr(tiling, "LOCATE_CHUNK", 10)
+        monkeypatch.setattr(locate, "LOCATE_CHUNK", 10)
         monkeypatch.setattr(Tiling, "rank_at_many", spy)
         before, interval = threading.active_count(), sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads often, so that the strides interleave
@@ -942,7 +946,7 @@ class TestMonteCarlo:
         def waiting_in(frame):  # names of the functions on a thread's stack
             return {f.f_code.co_name for f, _ in traceback.walk_stack(frame)}
 
-        caller, locate = threading.get_ident(), Tiling.rank_at_many
+        caller, rank_at_many = threading.get_ident(), Tiling.rank_at_many
         stops, pool_calls, interrupted = [], [], []
 
         def spy(self, pts):
@@ -957,12 +961,12 @@ class TestMonteCarlo:
                         signal.pthread_kill(caller, signal.SIGUSR1)
                         if stops[-1].wait(0.01):
                             break
-            return locate(self, pts)
+            return rank_at_many(self, pts)
 
         assert threading.current_thread() is threading.main_thread()  # signals go there
         monkeypatch.setattr(verifier, "Event", Stop)
         monkeypatch.setattr(verifier, "_worker_count", lambda blocks: 2)
-        monkeypatch.setattr(tiling, "LOCATE_CHUNK", 10)
+        monkeypatch.setattr(locate, "LOCATE_CHUNK", 10)
         monkeypatch.setattr(Tiling, "rank_at_many", spy)
         handler = signal.signal(signal.SIGUSR1, interrupt)
         try:
@@ -976,9 +980,9 @@ class TestMonteCarlo:
     def test_worker_count_capped(self, monkeypatch):
         # on many CPUs, at most LOCATE_THREADS blocks are in flight at once
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-        assert verifier._worker_count(1_000) == tiling.LOCATE_THREADS == 2
+        assert verifier._worker_count(1_000) == verifier.LOCATE_THREADS == 2
         assert verifier._worker_count(1) == 1
-        monkeypatch.setattr(tiling, "LOCATE_THREADS", 5)
+        monkeypatch.setattr(verifier, "LOCATE_THREADS", 5)
         assert verifier._worker_count(1_000) == 5
         # without sched_getaffinity the CPU count is used, and an unknown one is 1
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
